@@ -122,13 +122,16 @@ cover:
 	check ./internal/fleet/ fleet 85.0; \
 	check ./internal/store/ store 75.0
 
-# Delta-sweep perf gate (E22): the engine's event-log replay must keep
+# Perf gates. Delta sweep (E22): the engine's event-log replay must keep
 # a daily-grid evolution sweep >= 10x faster than the legacy
 # rebuild-per-date path, with identical points. Same-process ratio, so
 # it holds on any runner; absolute numbers are recorded in
-# BENCH_*.json.
+# BENCH_*.json. Snapshot hit (E18): a warm memo hit allocates at most
+# once (the header carrying the requested date), without the race
+# detector, whose instrumentation allocates on its own.
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
+	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
 
 # Short fuzz pass over the bulk parsers. The lenient reader must never
 # panic, must always produce a report, and must only load licenses the

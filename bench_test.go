@@ -280,7 +280,7 @@ func BenchmarkEngineEvolutionUncached(b *testing.B) {
 }
 
 // BenchmarkEngineEvolutionCached is the same workload through one
-// primed engine: every snapshot is a memo hit served as a clone. The
+// primed engine: every snapshot is a memo hit on a shared network. The
 // reported hits/rebuilds metrics prove the reuse.
 func BenchmarkEngineEvolutionCached(b *testing.B) {
 	db := corpus(b)
@@ -297,8 +297,9 @@ func BenchmarkEngineEvolutionCached(b *testing.B) {
 }
 
 // BenchmarkEngineSnapshotHit measures a single cache-hit snapshot —
-// the memo lookup plus the clone-on-return deep copy.
+// the memo key lookup plus the header that carries the requested date.
 func BenchmarkEngineSnapshotHit(b *testing.B) {
+	b.ReportAllocs()
 	db := corpus(b)
 	eng := NewEngine(db)
 	req := SnapshotRequest{
@@ -426,7 +427,7 @@ func BenchmarkAblationDijkstraBidirectional(b *testing.B) {
 	g, s, t := randomGraph(2000, 6000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.ShortestPathBidirectional(s, t); !ok {
+		if _, ok := g.ShortestPathBidirectional(s, t, nil); !ok {
 			b.Fatal("unreachable")
 		}
 	}
@@ -440,7 +441,7 @@ func BenchmarkAblationAPAFast(b *testing.B) {
 	bound := sp.Weight * 1.3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.EdgeRemovalAnalysisFast(s, t, bound)
+		g.EdgeRemovalAnalysisFast(s, t, bound, nil)
 	}
 }
 
@@ -450,7 +451,7 @@ func BenchmarkAblationAPASlow(b *testing.B) {
 	bound := sp.Weight * 1.3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.EdgeRemovalAnalysis(s, t, bound)
+		g.EdgeRemovalAnalysis(s, t, bound, nil)
 	}
 }
 

@@ -69,8 +69,9 @@ type (
 	Latency = units.Latency
 	// Engine is the shared, concurrent, memoized snapshot layer: it
 	// reconstructs each distinct (licensee set, date, data-center set,
-	// options) snapshot at most once per database generation and serves
-	// deep clones from its memo store. Create one with NewEngine.
+	// options) snapshot at most once per database generation and shares
+	// the memoized, read-only networks with every reader. Create one with
+	// NewEngine.
 	Engine = engine.Engine
 	// EngineStats are the engine's hit/miss/coalesce/rebuild counters.
 	EngineStats = engine.Stats

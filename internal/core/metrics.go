@@ -22,8 +22,15 @@ import (
 // are not candidates either.
 //
 // ok is false when the network has no end-to-end route at all, in which
-// case APA is meaningless.
+// case APA is meaningless. The answer is computed once per path and
+// memoized.
 func (n *Network) APA(path sites.Path) (apa float64, ok bool) {
+	a := n.answers(path)
+	a.apaOnce.Do(func() { a.apa, a.apaOK = n.computeAPA(path) })
+	return a.apa, a.apaOK
+}
+
+func (n *Network) computeAPA(path sites.Path) (float64, bool) {
 	set, okSet := n.BoundedPaths(path)
 	if !okSet || len(set.LinkIndexes) == 0 {
 		return 0, false
@@ -35,7 +42,7 @@ func (n *Network) APA(path sites.Path) (apa float64, ok bool) {
 	for _, li := range set.LinkIndexes {
 		inUniverse[li] = true
 	}
-	results := n.g.EdgeRemovalAnalysisFast(src, dst, bound)
+	results := n.g.EdgeRemovalAnalysisFast(src, dst, bound, nil)
 	total, within := 0, 0
 	for _, r := range results {
 		li, isMW := n.mwEdge[r.Edge]
@@ -131,9 +138,6 @@ func (n *Network) BoundedPaths(path sites.Path) (BoundedPathSet, bool) {
 
 	for eid, li := range n.mwEdge {
 		e := n.g.Edge(eid)
-		if e.Disabled {
-			continue
-		}
 		if simpleVia(e.A, e.B, e.Weight) || simpleVia(e.B, e.A, e.Weight) {
 			set.LinkIndexes = append(set.LinkIndexes, li)
 		}

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"hftnetview/internal/geo"
 	"hftnetview/internal/graph"
@@ -50,14 +52,22 @@ func DefaultOptions() Options {
 	}
 }
 
-// Fingerprint returns a canonical encoding of the options, stable
-// across processes, for use as a cache-key component: two Options
-// values produce the same fingerprint iff every reconstruction-relevant
-// field is equal. %g normalizes float formatting (1.05 and 1.0500
-// literal styles collapse to one encoding).
-func (o Options) Fingerprint() string {
-	return fmt.Sprintf("tmd=%d;mfm=%g;ftd=%d;sb=%g",
-		o.TowerMergeDecimals, o.MaxFiberMeters, o.FiberTailsPerDC, o.StretchBound)
+// AppendFingerprint appends a canonical encoding of the options to b,
+// stable across processes, for use as a cache-key component: two
+// Options values produce the same fingerprint iff every
+// reconstruction-relevant field is equal. Floats are formatted in their
+// shortest %g form (1.05 and 1.0500 literal styles collapse to one
+// encoding). It allocates nothing beyond b's growth, so a memo lookup
+// can build its key on the stack.
+func (o Options) AppendFingerprint(b []byte) []byte {
+	b = append(b, "tmd="...)
+	b = strconv.AppendInt(b, int64(o.TowerMergeDecimals), 10)
+	b = append(b, ";mfm="...)
+	b = strconv.AppendFloat(b, o.MaxFiberMeters, 'g', -1, 64)
+	b = append(b, ";ftd="...)
+	b = strconv.AppendInt(b, int64(o.FiberTailsPerDC), 10)
+	b = append(b, ";sb="...)
+	return strconv.AppendFloat(b, o.StretchBound, 'g', -1, 64)
 }
 
 // Tower is a deduplicated antenna site in a reconstructed network.
@@ -94,6 +104,14 @@ type FiberTail struct {
 }
 
 // Network is one licensee's reconstructed network as of a date.
+//
+// A Network is read-only once reconstructed: no analysis modifies it,
+// and callers must not modify its towers, links, fiber tails, or the
+// routes it returns. That is what lets the snapshot engine hand one
+// memoized network to every reader, concurrently. Each network memoizes
+// its BestRoute and APA answers per path on first use; copies of the
+// Network header (the engine patches the requested date onto one) share
+// the memo with the original.
 type Network struct {
 	Licensee string
 	Date     uls.Date
@@ -108,6 +126,39 @@ type Network struct {
 	dcID      map[string]graph.NodeID // DC code -> graph node
 	mwEdge    map[graph.EdgeID]int    // graph edge -> Links index
 	fbEdge    map[graph.EdgeID]int    // graph edge -> Fiber index
+	memo      *pathMemo
+}
+
+// pathMemo holds a network's per-path answers. The answers depend only
+// on the network's links and the path, never on Network.Date, so every
+// header copy of a network shares one memo.
+type pathMemo struct {
+	mu     sync.Mutex
+	byPath map[sites.Path]*pathAnswers
+}
+
+// pathAnswers is one path's memoized BestRoute and APA, each computed
+// at most once.
+type pathAnswers struct {
+	routeOnce sync.Once
+	route     Route
+	routeOK   bool
+
+	apaOnce sync.Once
+	apa     float64
+	apaOK   bool
+}
+
+// answers returns the memo slot for path, creating it on first use.
+func (n *Network) answers(path sites.Path) *pathAnswers {
+	n.memo.mu.Lock()
+	defer n.memo.mu.Unlock()
+	a, ok := n.memo.byPath[path]
+	if !ok {
+		a = &pathAnswers{}
+		n.memo.byPath[path] = a
+	}
+	return a
 }
 
 // towerKey canonicalizes a coordinate for tower deduplication. The
@@ -195,6 +246,7 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 		dcID:      make(map[string]graph.NodeID),
 		mwEdge:    make(map[graph.EdgeID]int),
 		fbEdge:    make(map[graph.EdgeID]int),
+		memo:      &pathMemo{byPath: make(map[sites.Path]*pathAnswers)},
 	}
 
 	// Deterministic order: by call sign then path number.
@@ -324,40 +376,6 @@ func mergeFrequencies(a, b []float64) []float64 {
 	return dedup
 }
 
-// Clone returns a deep copy of the network: mutating the clone's
-// towers, links, fiber tails, or graph (directly or through analyses
-// that temporarily disable edges, like APA and storm routing) leaves
-// the receiver untouched. The snapshot engine hands out clones so its
-// cached reconstructions stay pristine.
-func (n *Network) Clone() *Network {
-	c := *n
-	c.Towers = append([]Tower(nil), n.Towers...)
-	c.Links = append([]Link(nil), n.Links...)
-	for i := range c.Links {
-		c.Links[i].FrequenciesMHz = append([]float64(nil), n.Links[i].FrequenciesMHz...)
-	}
-	c.Fiber = append([]FiberTail(nil), n.Fiber...)
-	c.g = n.g.Clone()
-	c.towerID = append([]graph.NodeID(nil), n.towerID...)
-	c.nodeTower = make(map[graph.NodeID]int, len(n.nodeTower))
-	for k, v := range n.nodeTower {
-		c.nodeTower[k] = v
-	}
-	c.dcID = make(map[string]graph.NodeID, len(n.dcID))
-	for k, v := range n.dcID {
-		c.dcID[k] = v
-	}
-	c.mwEdge = make(map[graph.EdgeID]int, len(n.mwEdge))
-	for k, v := range n.mwEdge {
-		c.mwEdge[k] = v
-	}
-	c.fbEdge = make(map[graph.EdgeID]int, len(n.fbEdge))
-	for k, v := range n.fbEdge {
-		c.fbEdge[k] = v
-	}
-	return &c
-}
-
 // Route is an end-to-end lowest-latency path through a network.
 type Route struct {
 	Path sites.Path
@@ -383,14 +401,23 @@ func (r Route) HopCount() int { return len(r.LinkIndexes) }
 // BestRoute returns the lowest-latency route between two data centers,
 // computed with Dijkstra's algorithm accounting for the different speeds
 // of light in air and fiber (§2.3). ok is false when no end-to-end path
-// exists on the reconstruction date.
+// exists on the reconstruction date. The route is computed once per
+// path and memoized.
 func (n *Network) BestRoute(path sites.Path) (Route, bool) {
+	a := n.answers(path)
+	a.routeOnce.Do(func() { a.route, a.routeOK = n.route(path, nil) })
+	return a.route, a.routeOK
+}
+
+// route is the lowest-latency route over the graph minus the excluded
+// edges.
+func (n *Network) route(path sites.Path, excluded graph.Mask) (Route, bool) {
 	src, okS := n.dcID[path.From.Code]
 	dst, okD := n.dcID[path.To.Code]
 	if !okS || !okD {
 		return Route{}, false
 	}
-	p, ok := n.g.ShortestPath(src, dst)
+	p, ok := n.g.ShortestPathExcluding(src, dst, excluded)
 	if !ok {
 		return Route{}, false
 	}
@@ -429,10 +456,6 @@ func (n *Network) Connected(path sites.Path) bool {
 	_, ok := n.BestRoute(path)
 	return ok
 }
-
-// Graph exposes the underlying graph for analyses that need raw access
-// (visualization, custom metrics). Callers must not mutate it.
-func (n *Network) Graph() *graph.Graph { return n.g }
 
 // LatencyBound returns the paper's §5 alternate-path latency budget for a
 // path: StretchBound × the c-speed latency along the geodesic.

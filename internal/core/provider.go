@@ -28,8 +28,10 @@ type SnapshotRequest struct {
 // one-shot DirectProvider rebuilds on every call; the snapshot engine
 // (internal/engine) memoizes, coalesces concurrent requests, and fans
 // batches out across a bounded worker pool. Implementations must be
-// safe for concurrent use and must return networks the caller may
-// freely mutate.
+// safe for concurrent use. The networks they return are shared and
+// read-only: a provider may hand the same network, memoized route and
+// APA answers included, to any number of concurrent callers, and
+// callers must not modify it.
 type SnapshotProvider interface {
 	// DB returns the license database the snapshots are built from.
 	DB() *uls.Database

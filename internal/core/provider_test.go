@@ -2,9 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"hftnetview/internal/geo"
 	"hftnetview/internal/graph"
+	"hftnetview/internal/radio"
 	"hftnetview/internal/sites"
 	"hftnetview/internal/uls"
 )
@@ -52,7 +54,7 @@ func TestTowerKeyNoNegativeZero(t *testing.T) {
 
 func TestOptionsFingerprint(t *testing.T) {
 	base := DefaultOptions()
-	if base.Fingerprint() != DefaultOptions().Fingerprint() {
+	if string(base.AppendFingerprint(nil)) != string(DefaultOptions().AppendFingerprint(nil)) {
 		t.Fatal("equal options produced different fingerprints")
 	}
 	variants := []Options{
@@ -61,9 +63,9 @@ func TestOptionsFingerprint(t *testing.T) {
 		{TowerMergeDecimals: 4, MaxFiberMeters: 50e3, FiberTailsPerDC: 0, StretchBound: 1.05},
 		{TowerMergeDecimals: 4, MaxFiberMeters: 50e3, FiberTailsPerDC: 1, StretchBound: 1.10},
 	}
-	seen := map[string]bool{base.Fingerprint(): true}
+	seen := map[string]bool{string(base.AppendFingerprint(nil)): true}
 	for _, v := range variants {
-		fp := v.Fingerprint()
+		fp := string(v.AppendFingerprint(nil))
 		if seen[fp] {
 			t.Errorf("options %+v collide with a previous fingerprint %q", v, fp)
 		}
@@ -71,48 +73,64 @@ func TestOptionsFingerprint(t *testing.T) {
 	}
 }
 
+// TestNetworkCloneIndependence: the only copy of a network left is the
+// header copy the snapshot engine hands each reader. The copy must be
+// independent where its holder may write — its own header fields — and
+// knocking edges out of routes through the copy (a private mask, as
+// APA, storm routing and diverse routes do) must leave the original's
+// graph and routes untouched. The per-path route/APA memo stays shared.
 func TestNetworkCloneIndependence(t *testing.T) {
 	db := providerDB(t)
 	orig, err := Reconstruct(db, "Ladder Net", date20, sites.All, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, ok := orig.BestRoute(pathNY4)
+	r0, ok := orig.route(pathNY4, nil)
 	if !ok {
 		t.Fatal("ladder network should be connected")
 	}
 
-	c := orig.Clone()
-	// Mutate every exported surface of the clone.
-	c.Towers[0].HeightMeters = -1
-	c.Links[0].FrequenciesMHz[0] = -1
-	c.Links[0].LengthMeters = 0
-	if len(c.Fiber) > 0 {
-		c.Fiber[0].LengthMeters = -1
+	c := *orig
+	// Exclude every edge through the copy.
+	all := make(graph.Mask, c.g.NumEdges())
+	for i := range all {
+		all[i] = true
 	}
-	// Disable every edge through the clone's graph.
-	for i := 0; i < c.Graph().NumEdges(); i++ {
-		c.Graph().SetDisabled(graph.EdgeID(i), true)
+	if _, ok := c.route(pathNY4, all); ok {
+		t.Error("copy should be disconnected with every edge excluded")
 	}
+	// Run the edge-excluding analyses through the copy.
+	if _, ok := c.APA(pathNY4); !ok {
+		t.Error("ladder network should have an APA")
+	}
+	c.DiverseRoutes(pathNY4, 4)
+	storm := radio.GenerateStorm(3, sites.CME.Location, sites.NY4.Location, radio.DefaultStormConfig())
+	if _, err := c.RouteUnderStorm(pathNY4, storm, radio.DefaultFadeMarginDB); err != nil {
+		t.Fatal(err)
+	}
+	// Reassign every exported field of the copy.
+	c.Licensee = "vandal"
+	c.Date = uls.NewDate(1999, time.January, 1)
+	c.Towers, c.Links, c.Fiber = nil, nil, nil
 
-	if orig.Towers[0].HeightMeters == -1 {
-		t.Error("clone tower mutation reached the original")
+	if orig.Licensee != "Ladder Net" || orig.Date != date20 {
+		t.Errorf("copy header reached the original: licensee %q, date %v", orig.Licensee, orig.Date)
 	}
-	if orig.Links[0].FrequenciesMHz[0] == -1 {
-		t.Error("clone frequency mutation reached the original")
+	if len(orig.Towers) == 0 || len(orig.Links) == 0 {
+		t.Error("copy slice reassignment reached the original")
 	}
-	if len(orig.Fiber) > 0 && orig.Fiber[0].LengthMeters == -1 {
-		t.Error("clone fiber mutation reached the original")
-	}
-	r1, ok := orig.BestRoute(pathNY4)
+	r1, ok := orig.route(pathNY4, nil)
 	if !ok {
-		t.Fatal("original lost connectivity after clone graph mutation")
+		t.Fatal("original lost connectivity after analyses through the copy")
 	}
 	if r1.Latency != r0.Latency {
 		t.Errorf("original route latency changed: %v -> %v", r0.Latency, r1.Latency)
 	}
-	if _, ok := c.BestRoute(pathNY4); ok {
-		t.Error("clone should be disconnected after disabling all edges")
+	if best, ok := orig.BestRoute(pathNY4); !ok || best.Latency != r0.Latency {
+		t.Errorf("original memoized route latency = %v (ok=%v), want %v", best.Latency, ok, r0.Latency)
+	}
+	if c.memo != orig.memo {
+		t.Error("header copy should share the per-path memo with the original")
 	}
 }
 

@@ -41,31 +41,28 @@ func linkFrequencyGHz(l Link) float64 {
 	return min / 1000
 }
 
-// RouteUnderStorm disables every microwave link whose rain attenuation
-// under the storm exceeds marginDB (fiber tails are weatherproof), finds
-// the best surviving route for the path, then restores the network.
+// RouteUnderStorm finds the best route for the path once every
+// microwave link whose rain attenuation under the storm exceeds marginDB
+// is down (fiber tails are weatherproof). The faded links are excluded
+// through a private mask; the network itself is not modified.
 func (n *Network) RouteUnderStorm(path sites.Path, storm radio.Storm, marginDB float64) (StormImpact, error) {
 	impact := StormImpact{}
 	if fair, ok := n.BestRoute(path); ok {
 		impact.FairWeather = fair
 	}
-	var disabled []graph.EdgeID
+	down := make(graph.Mask, n.g.NumEdges())
 	for eid, li := range n.mwEdge {
 		l := n.Links[li]
 		a := n.Towers[l.From].Point
 		b := n.Towers[l.To].Point
 		if storm.LinkDownUnderStorm(a, b, linkFrequencyGHz(l), marginDB) {
-			n.g.SetDisabled(eid, true)
-			disabled = append(disabled, eid)
+			down[eid] = true
+			impact.LinksDown++
 		}
 	}
-	impact.LinksDown = len(disabled)
-	if r, ok := n.BestRoute(path); ok {
+	if r, ok := n.route(path, down); ok {
 		impact.Connected = true
 		impact.Route = r
-	}
-	for _, eid := range disabled {
-		n.g.SetDisabled(eid, false)
 	}
 	return impact, nil
 }

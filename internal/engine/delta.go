@@ -48,7 +48,8 @@ type deltaStats struct {
 }
 
 // canonNames sorts and deduplicates a licensee list — the canonical
-// form shared by memo keys, track keys, and union labels.
+// form of a union label (appendFamily canonicalizes keys the same way,
+// without allocating).
 func canonNames(licensees []string) []string {
 	names := append([]string(nil), licensees...)
 	sort.Strings(names)
@@ -61,28 +62,10 @@ func canonNames(licensees []string) []string {
 	return dedup
 }
 
-// trackKeyOf is the memo key minus the date: requests that differ only
-// by date share one track.
-func trackKeyOf(req core.SnapshotRequest) string {
-	names := canonNames(req.Licensees)
-	codes := make([]string, len(req.DCs))
-	for i, dc := range req.DCs {
-		codes[i] = dc.Code
-	}
-	sort.Strings(codes)
-	var b strings.Builder
-	b.WriteString(strings.Join(names, "\x1f"))
-	b.WriteString("\x1e")
-	b.WriteString(strings.Join(codes, "\x1f"))
-	b.WriteString("\x1e")
-	b.WriteString(req.Opts.Fingerprint())
-	return b.String()
-}
-
 // rekey maps a request's date to its anchor — the last event date ≤ the
 // requested date in the licensee set's merged stream. All dates
-// between two events collapse onto one memo key; the clone handed back
-// to the caller has its Date patched to the literal request.
+// between two events collapse onto one memo key; the network handed
+// back to the caller carries the literal requested date.
 func (e *Engine) rekey(req core.SnapshotRequest) (core.SnapshotRequest, bool) {
 	if e.deltaOff {
 		return req, false
@@ -117,7 +100,7 @@ func anchorOf(log *uls.EventLog, licensees []string, d uls.Date) uls.Date {
 // trackFor returns (building if needed) the replay track for the
 // request's (licensees, DCs, options) family.
 func (e *Engine) trackFor(req core.SnapshotRequest) *track {
-	key := trackKeyOf(req)
+	key := string(appendFamily(nil, req))
 	e.trackMu.Lock()
 	defer e.trackMu.Unlock()
 	if t, ok := e.tracks[key]; ok {

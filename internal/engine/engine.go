@@ -9,9 +9,14 @@
 // each distinct snapshot exactly once per database generation:
 // concurrent requests for the same key coalesce onto one in-flight
 // reconstruction, independent keys fan out across a bounded worker
-// pool, and completed snapshots are served from the memo store as deep
-// clones (callers may freely mutate what they get back; the cache
-// stays pristine).
+// pool, and completed snapshots are shared. A memo hit returns the
+// memoized network itself behind a fresh header carrying the requested
+// date: towers, links, graph, and the network's per-path route/APA memo
+// are shared by every reader, so a repeated read of a Table 1 row costs
+// a key lookup and one small allocation. Sharing is safe because a
+// core.Network is read-only once built — analyses that knock edges out
+// do it in private graph masks — and callers must not modify what they
+// get back.
 //
 // The engine implements core.SnapshotProvider, so the core analyses
 // (ConnectedNetworksVia, RankNetworksVia, EvolutionVia) and the entity
@@ -25,8 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,31 +151,64 @@ func defaultWorkers() int {
 // DB returns the underlying license database.
 func (e *Engine) DB() *uls.Database { return e.db }
 
-// keyOf canonicalizes a request into its memo key: sorted deduplicated
-// licensees, the date, sorted data-center codes, and the options
-// fingerprint. Requests that normalize identically share one snapshot.
-func keyOf(req core.SnapshotRequest) string {
-	dedup := canonNames(req.Licensees)
-	codes := make([]string, len(req.DCs))
-	for i, dc := range req.DCs {
-		codes[i] = dc.Code
+// keyBuf sizes the stack buffer a memo key is built in; longer keys
+// spill to the heap.
+const keyBuf = 256
+
+// appendKey appends req's memo key to b: its family key (appendFamily)
+// and the date. Requests that normalize identically share one snapshot.
+// Canonicalizing up to eight licensees and eight data centers allocates
+// nothing, so a memo hit looks its key up in a stack buffer and
+// converts it to a string only on a miss.
+func appendKey(b []byte, req core.SnapshotRequest) []byte {
+	b = appendFamily(b, req)
+	b = append(b, '\x1e')
+	b = strconv.AppendInt(b, int64(req.Date.Year), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(req.Date.Month), 10)
+	b = append(b, '-')
+	return strconv.AppendInt(b, int64(req.Date.Day), 10)
+}
+
+// appendFamily appends the canonical key of req's (licensee set, DC set,
+// options) family to b: sorted deduplicated licensees, sorted
+// data-center codes, and the options fingerprint, joined with the ASCII
+// unit (␟) and record (␞) separators so no field can collide with
+// another. The family key alone names a replay track; with the date it
+// names a snapshot.
+func appendFamily(b []byte, req core.SnapshotRequest) []byte {
+	var nameBuf, codeBuf [8]string
+	names := append(nameBuf[:0], req.Licensees...)
+	slices.Sort(names)
+	for i, n := range names {
+		if i > 0 {
+			if n == names[i-1] {
+				continue
+			}
+			b = append(b, '\x1f')
+		}
+		b = append(b, n...)
 	}
-	sort.Strings(codes)
-	var b strings.Builder
-	b.WriteString(strings.Join(dedup, "\x1f"))
-	b.WriteString("\x1e")
-	b.WriteString(req.Date.String())
-	b.WriteString("\x1e")
-	b.WriteString(strings.Join(codes, "\x1f"))
-	b.WriteString("\x1e")
-	b.WriteString(req.Opts.Fingerprint())
-	return b.String()
+	b = append(b, '\x1e')
+	codes := codeBuf[:0]
+	for _, dc := range req.DCs {
+		codes = append(codes, dc.Code)
+	}
+	slices.Sort(codes)
+	for i, c := range codes {
+		if i > 0 {
+			b = append(b, '\x1f')
+		}
+		b = append(b, c...)
+	}
+	b = append(b, '\x1e')
+	return req.Opts.AppendFingerprint(b)
 }
 
 // Snapshot returns the network described by the request, reconstructing
 // it at most once per key and database generation. The returned network
-// is a deep clone: mutating it (including through analyses that toggle
-// graph edges) cannot poison the cache.
+// is shared with every other reader of the same snapshot and must not
+// be modified.
 func (e *Engine) Snapshot(req core.SnapshotRequest) (*core.Network, error) {
 	return e.SnapshotContext(context.Background(), req)
 }
@@ -183,19 +222,17 @@ func (e *Engine) Snapshot(req core.SnapshotRequest) (*core.Network, error) {
 // NOT memoized: concurrent waiters coalesced onto the attempt all see
 // the error, but the next request retries from scratch. Classify the
 // returned error with Classify to drive circuit-breaker policy.
+//
+// A hit on a completed entry allocates only the returned header.
 func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) (*core.Network, error) {
-	if e.rebuildTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.rebuildTimeout)
-		defer cancel()
-	}
 	// Anchor re-keying: the requested date collapses onto the date of
 	// the last event at or before it — every date between two events
-	// shares one memo entry. The clone returned below has its Date
-	// patched back to the literal request.
+	// shares one memo entry. The header returned below carries the
+	// literal requested date.
 	want := req.Date
 	req, rekeyed := e.rekey(req)
-	key := keyOf(req)
+	var buf [keyBuf]byte
+	key := appendKey(buf[:0], req)
 
 	e.mu.Lock()
 	if g := e.db.Generation(); g != e.gen {
@@ -208,10 +245,12 @@ func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) 
 		e.stats.Invalidations++
 		e.flushTracks()
 	}
-	ent, ok := e.entries[key]
+	ent, ok := e.entries[string(key)]
+	done := false
 	if ok {
 		select {
 		case <-ent.done:
+			done = true
 			e.stats.Hits++
 			if rekeyed {
 				e.stats.DeltaHits++
@@ -221,29 +260,48 @@ func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) 
 		}
 	} else {
 		ent = &entry{done: make(chan struct{})}
-		e.entries[key] = ent
+		k := string(key)
+		e.entries[k] = ent
 		e.stats.Misses++
-		go e.fill(key, ent, req)
+		go e.fill(k, ent, req)
 	}
 	e.mu.Unlock()
 
-	select {
-	case <-ent.done:
-	case <-ctx.Done():
-		// A result that arrived together with the deadline still
-		// counts: never turn a ready snapshot into a timeout.
-		select {
-		case <-ent.done:
-		default:
-			return nil, fmt.Errorf("engine: waiting for snapshot rebuild: %w", ctx.Err())
+	if !done {
+		if err := e.wait(ctx, ent); err != nil {
+			return nil, err
 		}
 	}
 	if ent.err != nil {
 		return nil, ent.err
 	}
-	n := ent.net.Clone()
+	n := *ent.net
 	n.Date = want
-	return n, nil
+	return &n, nil
+}
+
+// wait blocks until ent is final, bounded by ctx and the engine's
+// rebuild timeout. The timeout's timer exists only while a wait is
+// actually pending: completed hits never get here.
+func (e *Engine) wait(ctx context.Context, ent *entry) error {
+	if e.rebuildTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.rebuildTimeout)
+		defer cancel()
+	}
+	select {
+	case <-ent.done:
+		return nil
+	case <-ctx.Done():
+		// A result that arrived together with the deadline still
+		// counts: never turn a ready snapshot into a timeout.
+		select {
+		case <-ent.done:
+			return nil
+		default:
+			return fmt.Errorf("engine: waiting for snapshot rebuild: %w", ctx.Err())
+		}
+	}
 }
 
 // fill runs the reconstruction for a freshly created entry and

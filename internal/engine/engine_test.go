@@ -3,13 +3,14 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"hftnetview/internal/core"
 	"hftnetview/internal/geo"
-	"hftnetview/internal/graph"
+	"hftnetview/internal/radio"
 	"hftnetview/internal/sites"
 	"hftnetview/internal/synth"
 	"hftnetview/internal/uls"
@@ -59,11 +60,14 @@ func TestSnapshotMemoization(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 rebuild", st)
 	}
 	if a == b {
-		t.Error("engine returned the same *Network twice; wants clones")
+		t.Error("engine returned the same *Network header twice; wants one header per call")
 	}
 	if len(a.Links) != len(b.Links) || len(a.Towers) != len(b.Towers) {
-		t.Errorf("clone mismatch: %d/%d links, %d/%d towers",
+		t.Errorf("snapshot mismatch: %d/%d links, %d/%d towers",
 			len(a.Links), len(b.Links), len(a.Towers), len(b.Towers))
+	}
+	if &a.Links[0] != &b.Links[0] {
+		t.Error("memo hit copied the links; wants them shared with the memoized network")
 	}
 }
 
@@ -132,11 +136,18 @@ func reversedDCs() []sites.DataCenter {
 	return out
 }
 
-// TestMutationDoesNotPoisonCache: mutating a returned network — fields
-// and graph alike — must not leak into later cache reads.
+// TestMutationDoesNotPoisonCache: each snapshot call returns a header of
+// the caller's own over the shared memoized network. Reassigning its
+// fields must not leak into later cache reads, and the requested date
+// the engine patches onto each header must not leak between callers
+// whose dates share one memo entry.
 func TestMutationDoesNotPoisonCache(t *testing.T) {
 	e := New(corpus(t))
 	r := req("Webline Holdings", snapshot, core.DefaultOptions())
+	anchor := e.DB().EventLog().AnchorDate("Webline Holdings", snapshot)
+	if anchor.IsZero() || anchor == snapshot {
+		t.Fatalf("sanity: anchor of %v is %v; want an earlier event date", snapshot, anchor)
+	}
 	first, err := e.Snapshot(r)
 	if err != nil {
 		t.Fatal(err)
@@ -145,24 +156,29 @@ func TestMutationDoesNotPoisonCache(t *testing.T) {
 	if !ok {
 		t.Fatal("WH should be connected")
 	}
+	name := first.Licensee
+	towers, links, fiber := len(first.Towers), len(first.Links), len(first.Fiber)
 
-	// Vandalize the returned clone.
-	first.Towers[0].Point = geo.Point{Lat: 0, Lon: 0}
-	first.Links[0].FrequenciesMHz[0] = -1
-	for i := range first.Links {
-		first.Links[i].LengthMeters = 0
-	}
-	g := first.Graph()
-	for i := 0; i < g.NumEdges(); i++ {
-		g.SetDisabled(graph.EdgeID(i), true)
-	}
-	if _, ok := first.BestRoute(pathNY4); ok {
-		t.Fatal("sanity: vandalized clone should be disconnected")
-	}
+	// Vandalize the returned header.
+	vandalDate := uls.NewDate(1999, time.January, 1)
+	first.Licensee = "vandal"
+	first.Date = vandalDate
+	first.Towers, first.Links, first.Fiber = nil, nil, nil
 
-	second, err := e.Snapshot(r)
+	// The anchor date itself keys the same memo entry.
+	second, err := e.Snapshot(req("Webline Holdings", anchor, core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if second.Date != anchor {
+		t.Errorf("second snapshot date = %v, want its own request date %v", second.Date, anchor)
+	}
+	if second.Licensee != name {
+		t.Errorf("cache poisoned: licensee %q, want %q", second.Licensee, name)
+	}
+	if len(second.Towers) != towers || len(second.Links) != links || len(second.Fiber) != fiber {
+		t.Errorf("cache poisoned: %d/%d/%d towers/links/fiber, want %d/%d/%d",
+			len(second.Towers), len(second.Links), len(second.Fiber), towers, links, fiber)
 	}
 	route1, ok := second.BestRoute(pathNY4)
 	if !ok {
@@ -171,11 +187,130 @@ func TestMutationDoesNotPoisonCache(t *testing.T) {
 	if route1.Latency != route0.Latency {
 		t.Errorf("cache poisoned: latency %v, want %v", route1.Latency, route0.Latency)
 	}
-	if second.Links[0].FrequenciesMHz[0] == -1 {
-		t.Error("cache poisoned: frequency mutation visible in second snapshot")
+	if first.Date != vandalDate {
+		t.Errorf("a later call's date patch reached an earlier caller's header: %v", first.Date)
+	}
+	third, err := e.Snapshot(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Date != snapshot {
+		t.Errorf("third snapshot date = %v, want %v", third.Date, snapshot)
+	}
+	if st := e.Stats(); st.Rebuilds != 1 || st.Hits != 2 {
+		t.Errorf("stats = %+v, want 1 rebuild and 2 hits on one shared entry", st)
+	}
+}
+
+// TestSharedSnapshotConcurrentReaders: one memoized snapshot is shared
+// by every reader, so every Network analysis must be read-only. Eight
+// goroutines run all of them on one engine snapshot (under -race in
+// make ci) and each answer must equal the same analysis on a fresh,
+// unshared core.Reconstruct of the key; afterwards the shared
+// snapshot's towers, links, and fiber must still equal the rebuild's.
+func TestSharedSnapshotConcurrentReaders(t *testing.T) {
+	db := corpus(t)
+	e := New(db)
+	r := req("Webline Holdings", snapshot, core.DefaultOptions())
+	shared, err := e.Snapshot(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *core.Network {
+		n, err := core.Reconstruct(db, r.Licensees[0], r.Date, r.DCs, r.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	storm := radio.GenerateStorm(3, sites.CME.Location, sites.NY4.Location, radio.DefaultStormConfig())
+	paths := []sites.Path{pathNY4, {From: sites.CME, To: sites.NYSE}, {From: sites.NASDAQ, To: sites.CME}}
+	// answers runs every analysis on n, in a fixed order.
+	answers := func(n *core.Network) []any {
+		var out []any
+		for _, p := range paths {
+			route, ok := n.BestRoute(p)
+			apa, apaOK := n.APA(p)
+			set, setOK := n.BoundedPaths(p)
+			lengths, lenOK := n.LinkLengthsOnBoundedPaths(p)
+			spFreqs, spOK := n.FrequenciesOnShortestPath(p)
+			altFreqs, altOK := n.FrequenciesOnAlternatePaths(p)
+			impact, err := n.RouteUnderStorm(p, storm, radio.DefaultFadeMarginDB)
+			out = append(out, route, ok, apa, apaOK, set, setOK, lengths, lenOK,
+				spFreqs, spOK, altFreqs, altOK, impact, err, n.DiverseRoutes(p, 4))
+		}
+		return out
+	}
+	want := answers(fresh())
+	if route, ok := want[0].(core.Route); !ok || route.HopCount() == 0 {
+		t.Fatalf("sanity: %s has no route on %s", r.Licensees[0], pathNY4.Name())
+	}
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			n := shared
+			if w%2 == 1 {
+				// Half the readers go through their own memo hit: a
+				// separate header over the same shared network.
+				var err error
+				if n, err = e.Snapshot(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			<-start
+			for i := 0; i < 3; i++ {
+				if got := answers(n); !reflect.DeepEqual(got, want) {
+					t.Errorf("reader %d pass %d: shared-snapshot answers differ from a fresh rebuild", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+
+	rebuilt := fresh()
+	if !reflect.DeepEqual(shared.Towers, rebuilt.Towers) ||
+		!reflect.DeepEqual(shared.Links, rebuilt.Links) ||
+		!reflect.DeepEqual(shared.Fiber, rebuilt.Fiber) {
+		t.Error("analyses modified the shared snapshot: towers, links, or fiber no longer equal a fresh rebuild")
 	}
 	if st := e.Stats(); st.Rebuilds != 1 {
-		t.Errorf("rebuilds = %d, want 1 (second read must come from cache)", st.Rebuilds)
+		t.Errorf("rebuilds = %d, want 1 (every reader shares one snapshot)", st.Rebuilds)
+	}
+}
+
+// TestSnapshotHitAllocs gates the memo-hit path: a warm SnapshotContext
+// hit allocates only the returned header — no key string, no rebuild
+// timer, no copy of the network. The race detector's instrumentation
+// allocates on its own, so the gate runs without it (make bench-gate).
+func TestSnapshotHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := New(corpus(t), WithRebuildTimeout(time.Minute))
+	r := req("Webline Holdings", snapshot, core.DefaultOptions())
+	// Permuted, duplicated names exercise the key canonicalization.
+	r.Licensees = []string{"Webline Holdings", "New Line Networks", "Webline Holdings"}
+	ctx := context.Background()
+	if _, err := e.SnapshotContext(ctx, r); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := e.SnapshotContext(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("warm snapshot hit allocates %.1f times, want <= 1", allocs)
+	}
+	if st := e.Stats(); st.Rebuilds != 1 {
+		t.Errorf("rebuilds = %d, want 1", st.Rebuilds)
 	}
 }
 

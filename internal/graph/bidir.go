@@ -3,11 +3,12 @@ package graph
 import "math"
 
 // ShortestPathBidirectional is Dijkstra run simultaneously from both
-// endpoints, stopping when the frontiers' combined radius covers the
-// best meeting point. On corridor-scale graphs it settles roughly half
-// the nodes of the one-sided search; it exists as the ablation
-// comparison for ShortestPath and returns identical weights.
-func (g *Graph) ShortestPathBidirectional(src, dst NodeID) (Path, bool) {
+// endpoints over the graph minus the edges in excluded, stopping when
+// the frontiers' combined radius covers the best meeting point. On
+// corridor-scale graphs it settles roughly half the nodes of the
+// one-sided search; it exists as the ablation comparison for
+// ShortestPathExcluding and returns identical weights.
+func (g *Graph) ShortestPathBidirectional(src, dst NodeID, excluded Mask) (Path, bool) {
 	if src == dst {
 		return Path{Nodes: []NodeID{src}}, true
 	}
@@ -49,10 +50,10 @@ func (g *Graph) ShortestPathBidirectional(src, dst NodeID) (Path, bool) {
 				return false
 			}
 			for _, eid := range g.adj[u] {
-				e := &g.edges[eid]
-				if e.Disabled {
+				if excluded.excludes(eid) {
 					continue
 				}
+				e := &g.edges[eid]
 				v := e.Other(u)
 				nd := dist[u] + e.Weight
 				if nd < dist[v] {

@@ -25,7 +25,7 @@ func TestBidirectionalMatchesDijkstra(t *testing.T) {
 		}
 		src, dst := ids[rng.IntN(n)], ids[rng.IntN(n)]
 		p1, ok1 := g.ShortestPath(src, dst)
-		p2, ok2 := g.ShortestPathBidirectional(src, dst)
+		p2, ok2 := g.ShortestPathBidirectional(src, dst, nil)
 		if ok1 != ok2 {
 			t.Fatalf("trial %d: reachability differs (%v vs %v)", trial, ok1, ok2)
 		}
@@ -62,14 +62,14 @@ func TestBidirectionalEdgeCases(t *testing.T) {
 	a, b := g.EnsureNode("a"), g.EnsureNode("b")
 	g.EnsureNode("lone")
 
-	if p, ok := g.ShortestPathBidirectional(a, a); !ok || p.Weight != 0 {
+	if p, ok := g.ShortestPathBidirectional(a, a, nil); !ok || p.Weight != 0 {
 		t.Errorf("self path = %+v, %v", p, ok)
 	}
-	if _, ok := g.ShortestPathBidirectional(a, b); ok {
+	if _, ok := g.ShortestPathBidirectional(a, b, nil); ok {
 		t.Error("disconnected reported reachable")
 	}
 	g.AddEdge(a, b, 2)
-	p, ok := g.ShortestPathBidirectional(a, b)
+	p, ok := g.ShortestPathBidirectional(a, b, nil)
 	if !ok || p.Weight != 2 || p.Len() != 1 {
 		t.Errorf("single edge path = %+v, %v", p, ok)
 	}
@@ -81,9 +81,10 @@ func TestBidirectionalRespectsDisabled(t *testing.T) {
 	direct, _ := g.AddEdge(a, c, 1)
 	g.AddEdge(a, b, 2)
 	g.AddEdge(b, c, 2)
-	g.SetDisabled(direct, true)
-	p, ok := g.ShortestPathBidirectional(a, c)
+	mask := make(Mask, g.NumEdges())
+	mask[direct] = true
+	p, ok := g.ShortestPathBidirectional(a, c, mask)
 	if !ok || p.Weight != 4 {
-		t.Errorf("with direct disabled: %+v", p)
+		t.Errorf("with direct excluded: %+v", p)
 	}
 }

@@ -6,6 +6,11 @@
 //
 // Edge weights are arbitrary non-negative costs; the reconstruction layer
 // uses one-way propagation latency in seconds.
+//
+// A graph is read-only once built: no query mutates it, so any number of
+// goroutines may query one graph concurrently. Analyses that knock edges
+// out of the traversal (per-edge removal, Yen's spur searches, storm
+// routing) describe the knocked-out edges with a caller-owned Mask.
 package graph
 
 import (
@@ -22,10 +27,16 @@ type EdgeID int32
 // Edge is an undirected weighted edge. Parallel edges and their distinct
 // identities are preserved (two licenses may cover the same tower pair).
 type Edge struct {
-	A, B     NodeID
-	Weight   float64
-	Disabled bool // excluded from traversal when true
+	A, B   NodeID
+	Weight float64
 }
+
+// Mask is a set of edges excluded from a traversal, indexed by EdgeID:
+// edge id is excluded when id < len(m) and m[id] is true, so a nil Mask
+// excludes nothing. The caller owns the mask; queries only read it.
+type Mask []bool
+
+func (m Mask) excludes(id EdgeID) bool { return int(id) < len(m) && m[id] }
 
 // Other returns the endpoint opposite to n.
 func (e Edge) Other(n NodeID) NodeID {
@@ -52,7 +63,7 @@ func New() *Graph {
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.keys) }
 
-// NumEdges returns the number of edges, including disabled ones.
+// NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // EnsureNode returns the NodeID for key, creating the node if needed.
@@ -98,31 +109,7 @@ func (g *Graph) AddEdge(a, b NodeID, w float64) (EdgeID, error) {
 // Edge returns a copy of the edge with the given id.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 
-// Clone returns a deep copy of the graph sharing no mutable state with
-// the receiver. Analyses that temporarily disable edges (edge-removal
-// APA, storm routing) can run concurrently on clones of one graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		keys:  append([]string(nil), g.keys...),
-		byKey: make(map[string]NodeID, len(g.byKey)),
-		edges: append([]Edge(nil), g.edges...),
-		adj:   make([][]EdgeID, len(g.adj)),
-	}
-	for k, v := range g.byKey {
-		c.byKey[k] = v
-	}
-	for i, ids := range g.adj {
-		c.adj[i] = append([]EdgeID(nil), ids...)
-	}
-	return c
-}
-
-// SetDisabled marks an edge as excluded from (or restored to) traversal.
-func (g *Graph) SetDisabled(id EdgeID, disabled bool) {
-	g.edges[id].Disabled = disabled
-}
-
-// EdgesOf returns the edge ids incident to n (including disabled edges).
+// EdgesOf returns the edge ids incident to n.
 func (g *Graph) EdgesOf(n NodeID) []EdgeID { return g.adj[n] }
 
 // Path is a walk through the graph with its total weight.
@@ -184,11 +171,17 @@ func (h *minHeap) pop() item {
 	return top
 }
 
-// ShortestPath returns the minimum-weight path from src to dst over
-// enabled edges, and whether dst is reachable. Ties are broken by
-// insertion order deterministically.
+// ShortestPath returns the minimum-weight path from src to dst, and
+// whether dst is reachable. Ties are broken by insertion order
+// deterministically.
 func (g *Graph) ShortestPath(src, dst NodeID) (Path, bool) {
-	dist, prevEdge := g.dijkstra(src, dst)
+	return g.ShortestPathExcluding(src, dst, nil)
+}
+
+// ShortestPathExcluding is ShortestPath over the graph minus the edges
+// in excluded.
+func (g *Graph) ShortestPathExcluding(src, dst NodeID, excluded Mask) (Path, bool) {
+	dist, prevEdge := g.dijkstra(src, dst, excluded)
 	if math.IsInf(dist[dst], 1) {
 		return Path{}, false
 	}
@@ -196,9 +189,9 @@ func (g *Graph) ShortestPath(src, dst NodeID) (Path, bool) {
 }
 
 // DistancesFrom returns the minimum weight from src to every node
-// (math.Inf(1) where unreachable), over enabled edges.
+// (math.Inf(1) where unreachable).
 func (g *Graph) DistancesFrom(src NodeID) []float64 {
-	dist, _ := g.dijkstra(src, -1)
+	dist, _ := g.dijkstra(src, -1, nil)
 	return dist
 }
 
@@ -206,7 +199,7 @@ func (g *Graph) DistancesFrom(src NodeID) []float64 {
 // distances and the parent edge of each node in the shortest-path tree
 // (-1 for src and unreachable nodes).
 func (g *Graph) ShortestPathTree(src NodeID) ([]float64, []EdgeID) {
-	return g.dijkstra(src, -1)
+	return g.dijkstra(src, -1, nil)
 }
 
 // TreePathNodes returns the nodes on the tree path from src to dst
@@ -236,8 +229,9 @@ func (g *Graph) TreePathNodes(prevEdge []EdgeID, src, dst NodeID) []NodeID {
 	return rev
 }
 
-// dijkstra runs to completion, or until dst is settled when dst >= 0.
-func (g *Graph) dijkstra(src, dst NodeID) (dist []float64, prevEdge []EdgeID) {
+// dijkstra runs to completion, or until dst is settled when dst >= 0,
+// never traversing an edge in excluded.
+func (g *Graph) dijkstra(src, dst NodeID, excluded Mask) (dist []float64, prevEdge []EdgeID) {
 	n := len(g.keys)
 	dist = make([]float64, n)
 	prevEdge = make([]EdgeID, n)
@@ -260,10 +254,10 @@ func (g *Graph) dijkstra(src, dst NodeID) (dist []float64, prevEdge []EdgeID) {
 			break
 		}
 		for _, eid := range g.adj[u] {
-			e := &g.edges[eid]
-			if e.Disabled {
+			if excluded.excludes(eid) {
 				continue
 			}
+			e := &g.edges[eid]
 			v := e.Other(u)
 			if settled[v] {
 				continue
@@ -329,9 +323,6 @@ func (g *Graph) ShortestPathNaive(src, dst NodeID) (Path, bool) {
 		}
 		for _, eid := range g.adj[u] {
 			e := &g.edges[eid]
-			if e.Disabled {
-				continue
-			}
 			v := e.Other(u)
 			if nd := dist[u] + e.Weight; nd < dist[v] {
 				dist[v] = nd
@@ -345,9 +336,10 @@ func (g *Graph) ShortestPathNaive(src, dst NodeID) (Path, bool) {
 	return g.tracePath(src, dst, dist, prevEdge), true
 }
 
-// Components returns the connected components over enabled edges, each a
-// sorted list of NodeIDs; components are ordered by their smallest node.
-func (g *Graph) Components() [][]NodeID {
+// Components returns the connected components of the graph minus the
+// edges in excluded, each a list of NodeIDs; components are ordered by
+// their smallest node.
+func (g *Graph) Components(excluded Mask) [][]NodeID {
 	n := len(g.keys)
 	seen := make([]bool, n)
 	var comps [][]NodeID
@@ -364,11 +356,10 @@ func (g *Graph) Components() [][]NodeID {
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
 			for _, eid := range g.adj[u] {
-				e := &g.edges[eid]
-				if e.Disabled {
+				if excluded.excludes(eid) {
 					continue
 				}
-				v := e.Other(u)
+				v := g.edges[eid].Other(u)
 				if !seen[v] {
 					seen[v] = true
 					stack = append(stack, v)
@@ -380,7 +371,7 @@ func (g *Graph) Components() [][]NodeID {
 	return comps
 }
 
-// Connected reports whether dst is reachable from src over enabled edges.
+// Connected reports whether dst is reachable from src.
 func (g *Graph) Connected(src, dst NodeID) bool {
 	_, ok := g.ShortestPath(src, dst)
 	return ok

@@ -168,15 +168,18 @@ func TestDisabledEdges(t *testing.T) {
 	direct, _ := g.AddEdge(a, c, 1)
 	g.AddEdge(a, b, 2)
 	g.AddEdge(b, c, 2)
-	g.SetDisabled(direct, true)
-	p, ok := g.ShortestPath(a, c)
+	mask := make(Mask, g.NumEdges())
+	mask[direct] = true
+	p, ok := g.ShortestPathExcluding(a, c, mask)
 	if !ok || p.Weight != 4 {
-		t.Errorf("with direct disabled: %+v, want weight 4", p)
+		t.Errorf("with direct excluded: %+v, want weight 4", p)
 	}
-	g.SetDisabled(direct, false)
-	p, _ = g.ShortestPath(a, c)
-	if p.Weight != 1 {
-		t.Errorf("after re-enable: %+v, want weight 1", p)
+	if p, _ = g.ShortestPath(a, c); p.Weight != 1 {
+		t.Errorf("without the mask: %+v, want weight 1", p)
+	}
+	// A mask shorter than the edge list excludes only what it covers.
+	if p, _ = g.ShortestPathExcluding(a, c, Mask{false}); p.Weight != 1 {
+		t.Errorf("short mask: %+v, want weight 1", p)
 	}
 }
 
@@ -231,7 +234,7 @@ func TestComponents(t *testing.T) {
 	g.EnsureNode("e") // isolated
 	g.AddEdge(a, b, 1)
 	g.AddEdge(c, d, 1)
-	comps := g.Components()
+	comps := g.Components(nil)
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
 	}
@@ -248,12 +251,13 @@ func TestComponentsRespectDisabled(t *testing.T) {
 	g := New()
 	a, b := g.EnsureNode("a"), g.EnsureNode("b")
 	e, _ := g.AddEdge(a, b, 1)
-	if got := len(g.Components()); got != 1 {
+	if got := len(g.Components(nil)); got != 1 {
 		t.Fatalf("components = %d, want 1", got)
 	}
-	g.SetDisabled(e, true)
-	if got := len(g.Components()); got != 2 {
-		t.Errorf("components with disabled edge = %d, want 2", got)
+	mask := make(Mask, g.NumEdges())
+	mask[e] = true
+	if got := len(g.Components(mask)); got != 2 {
+		t.Errorf("components with excluded edge = %d, want 2", got)
 	}
 }
 

@@ -57,9 +57,6 @@ func (g *Graph) PathsWithin(src, dst NodeID, opts EnumerateOptions) (paths []Pat
 		}
 		for _, eid := range g.adj[u] {
 			e := &g.edges[eid]
-			if e.Disabled {
-				continue
-			}
 			v := e.Other(u)
 			if onPath[v] {
 				continue
@@ -101,31 +98,20 @@ type RemovalResult struct {
 	Latency float64
 }
 
-// EdgeRemovalAnalysis removes each enabled edge in turn and reports
-// whether the src-dst shortest path of the remaining graph stays within
-// bound. This is the paper's APA computation (§5): APA is the fraction
-// of results with WithinBound == true.
-//
-// The graph is restored to its original enabled/disabled state before
-// returning.
-func (g *Graph) EdgeRemovalAnalysis(src, dst NodeID, bound float64) []RemovalResult {
+// EdgeRemovalAnalysis removes each edge not in excluded in turn and
+// reports whether the src-dst shortest path of the remaining graph (also
+// minus excluded) stays within bound. This is the paper's APA
+// computation (§5): APA is the fraction of results with WithinBound ==
+// true. Removals go into a private copy of the mask: neither the graph
+// nor excluded is modified.
+func (g *Graph) EdgeRemovalAnalysis(src, dst NodeID, bound float64, excluded Mask) []RemovalResult {
+	mask := g.maskFrom(excluded)
 	var out []RemovalResult
 	for id := range g.edges {
-		eid := EdgeID(id)
-		if g.edges[id].Disabled {
+		if mask[id] {
 			continue
 		}
-		g.edges[id].Disabled = true
-		lat := math.Inf(1)
-		if p, ok := g.ShortestPath(src, dst); ok {
-			lat = p.Weight
-		}
-		g.edges[id].Disabled = false
-		out = append(out, RemovalResult{
-			Edge:        eid,
-			WithinBound: lat <= bound,
-			Latency:     lat,
-		})
+		out = append(out, g.removal(src, dst, bound, mask, EdgeID(id)))
 	}
 	return out
 }
@@ -136,8 +122,9 @@ func (g *Graph) EdgeRemovalAnalysis(src, dst NodeID, bound float64) []RemovalRes
 // EdgeRemovalAnalysis whenever the baseline shortest path is within
 // bound; it exists both as the production implementation and as the
 // ablation comparison point.
-func (g *Graph) EdgeRemovalAnalysisFast(src, dst NodeID, bound float64) []RemovalResult {
-	base, ok := g.ShortestPath(src, dst)
+func (g *Graph) EdgeRemovalAnalysisFast(src, dst NodeID, bound float64, excluded Mask) []RemovalResult {
+	mask := g.maskFrom(excluded)
+	base, ok := g.ShortestPathExcluding(src, dst, mask)
 	if !ok || base.Weight > bound {
 		// Baseline already violates the bound; every removal does too.
 		var out []RemovalResult
@@ -146,7 +133,7 @@ func (g *Graph) EdgeRemovalAnalysisFast(src, dst NodeID, bound float64) []Remova
 			baseLat = base.Weight
 		}
 		for id := range g.edges {
-			if g.edges[id].Disabled {
+			if mask[id] {
 				continue
 			}
 			out = append(out, RemovalResult{Edge: EdgeID(id), WithinBound: false, Latency: baseLat})
@@ -160,29 +147,43 @@ func (g *Graph) EdgeRemovalAnalysisFast(src, dst NodeID, bound float64) []Remova
 	var out []RemovalResult
 	for id := range g.edges {
 		eid := EdgeID(id)
-		if g.edges[id].Disabled {
+		if mask[id] {
 			continue
 		}
 		if !onSP[eid] {
 			out = append(out, RemovalResult{Edge: eid, WithinBound: true, Latency: base.Weight})
 			continue
 		}
-		g.edges[id].Disabled = true
-		lat := math.Inf(1)
-		if p, ok := g.ShortestPath(src, dst); ok {
-			lat = p.Weight
-		}
-		g.edges[id].Disabled = false
-		out = append(out, RemovalResult{Edge: eid, WithinBound: lat <= bound, Latency: lat})
+		out = append(out, g.removal(src, dst, bound, mask, eid))
 	}
 	return out
 }
 
+// maskFrom returns a full-length private copy of excluded that an
+// analysis may flip edges in.
+func (g *Graph) maskFrom(excluded Mask) Mask {
+	mask := make(Mask, len(g.edges))
+	copy(mask, excluded)
+	return mask
+}
+
+// removal measures the src-dst latency with eid excluded on top of
+// mask, leaving mask as it found it.
+func (g *Graph) removal(src, dst NodeID, bound float64, mask Mask, eid EdgeID) RemovalResult {
+	mask[eid] = true
+	lat := math.Inf(1)
+	if p, ok := g.ShortestPathExcluding(src, dst, mask); ok {
+		lat = p.Weight
+	}
+	mask[eid] = false
+	return RemovalResult{Edge: eid, WithinBound: lat <= bound, Latency: lat}
+}
+
 // APA returns the alternate-path-availability fraction in [0, 1]: the
-// share of enabled edges whose individual removal keeps the src-dst
-// latency within bound. Returns 0 for an edgeless graph.
+// share of edges whose individual removal keeps the src-dst latency
+// within bound. Returns 0 for an edgeless graph.
 func (g *Graph) APA(src, dst NodeID, bound float64) float64 {
-	res := g.EdgeRemovalAnalysisFast(src, dst, bound)
+	res := g.EdgeRemovalAnalysisFast(src, dst, bound, nil)
 	if len(res) == 0 {
 		return 0
 	}

@@ -121,7 +121,7 @@ func TestEdgeRemovalChainHasZeroAPA(t *testing.T) {
 	if apa := g.APA(src, dst, 100); apa != 0 {
 		t.Errorf("chain APA = %v, want 0", apa)
 	}
-	res := g.EdgeRemovalAnalysis(src, dst, 100)
+	res := g.EdgeRemovalAnalysis(src, dst, 100, nil)
 	for _, r := range res {
 		if r.WithinBound || !math.IsInf(r.Latency, 1) {
 			t.Errorf("chain edge %d: %+v, want disconnected", r.Edge, r)
@@ -201,31 +201,40 @@ func TestEdgeRemovalFastMatchesSlow(t *testing.T) {
 			continue
 		}
 		bound := sp.Weight * 1.3
-		slow := g.EdgeRemovalAnalysis(src, dst, bound)
-		fast := g.EdgeRemovalAnalysisFast(src, dst, bound)
-		if len(slow) != len(fast) {
-			t.Fatalf("trial %d: result lengths differ", trial)
+		// Unmasked, and again with about a tenth of the edges excluded.
+		mask := make(Mask, g.NumEdges())
+		for i := range mask {
+			mask[i] = rng.IntN(10) == 0
 		}
-		for i := range slow {
-			if slow[i].Edge != fast[i].Edge || slow[i].WithinBound != fast[i].WithinBound {
-				t.Fatalf("trial %d edge %d: slow=%+v fast=%+v",
-					trial, slow[i].Edge, slow[i], fast[i])
+		for _, excluded := range []Mask{nil, mask} {
+			slow := g.EdgeRemovalAnalysis(src, dst, bound, excluded)
+			fast := g.EdgeRemovalAnalysisFast(src, dst, bound, excluded)
+			if len(slow) != len(fast) {
+				t.Fatalf("trial %d: result lengths differ", trial)
+			}
+			for i := range slow {
+				if slow[i].Edge != fast[i].Edge || slow[i].WithinBound != fast[i].WithinBound {
+					t.Fatalf("trial %d edge %d: slow=%+v fast=%+v",
+						trial, slow[i].Edge, slow[i], fast[i])
+				}
 			}
 		}
 	}
 }
 
+// TestEdgeRemovalRestoresState: the removal analyses knock edges out in
+// a private mask, leaving the caller's mask untouched.
 func TestEdgeRemovalRestoresState(t *testing.T) {
 	g, ids := lineGraph(t, 5)
-	pre := make([]bool, g.NumEdges())
+	g.AddEdge(ids[0], ids[5], 20)
+	mask := make(Mask, g.NumEdges())
+	mask[2] = true
+	pre := append(Mask(nil), mask...)
+	g.EdgeRemovalAnalysis(ids[0], ids[5], 100, mask)
+	g.EdgeRemovalAnalysisFast(ids[0], ids[5], 100, mask)
 	for i := range pre {
-		pre[i] = g.Edge(EdgeID(i)).Disabled
-	}
-	g.EdgeRemovalAnalysis(ids[0], ids[5], 100)
-	g.EdgeRemovalAnalysisFast(ids[0], ids[5], 100)
-	for i := range pre {
-		if g.Edge(EdgeID(i)).Disabled != pre[i] {
-			t.Errorf("edge %d disabled state mutated", i)
+		if mask[i] != pre[i] {
+			t.Errorf("edge %d exclusion state mutated", i)
 		}
 	}
 }
@@ -233,10 +242,16 @@ func TestEdgeRemovalRestoresState(t *testing.T) {
 func TestEdgeRemovalSkipsDisabled(t *testing.T) {
 	g, ids := lineGraph(t, 3)
 	extra, _ := g.AddEdge(ids[0], ids[3], 10)
-	g.SetDisabled(extra, true)
-	res := g.EdgeRemovalAnalysis(ids[0], ids[3], 100)
+	mask := make(Mask, g.NumEdges())
+	mask[extra] = true
+	res := g.EdgeRemovalAnalysis(ids[0], ids[3], 100, mask)
 	if len(res) != 3 {
-		t.Errorf("results = %d, want 3 (disabled edge excluded)", len(res))
+		t.Errorf("results = %d, want 3 (excluded edge skipped)", len(res))
+	}
+	for _, r := range res {
+		if r.WithinBound {
+			t.Errorf("edge %d: %+v, want disconnected (excluded bypass must stay out)", r.Edge, r)
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 	accepted := []Path{first}
 	seen := map[string]bool{pathKey(first): true}
 	var candidates []Path
+	mask := make(Mask, len(g.edges))
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
@@ -31,34 +32,24 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 			rootNodes := prev.Nodes[:spurIdx+1]
 			rootEdges := prev.Edges[:spurIdx]
 
-			var disabled []EdgeID
-			disable := func(id EdgeID) {
-				if !g.edges[id].Disabled {
-					g.edges[id].Disabled = true
-					disabled = append(disabled, id)
-				}
-			}
+			clear(mask)
 			// Block the edges that previous accepted paths (sharing
 			// this root) take out of the spur node.
 			for _, p := range accepted {
 				if len(p.Nodes) > spurIdx && sameNodes(p.Nodes[:spurIdx+1], rootNodes) &&
 					len(p.Edges) > spurIdx {
-					disable(p.Edges[spurIdx])
+					mask[p.Edges[spurIdx]] = true
 				}
 			}
 			// Remove the root nodes (other than the spur node) from the
-			// graph by disabling their incident edges.
+			// graph by excluding their incident edges.
 			for _, n := range rootNodes[:len(rootNodes)-1] {
 				for _, eid := range g.adj[n] {
-					disable(eid)
+					mask[eid] = true
 				}
 			}
 
-			spurPath, ok := g.ShortestPath(spurNode, dst)
-
-			for _, id := range disabled {
-				g.edges[id].Disabled = false
-			}
+			spurPath, ok := g.ShortestPathExcluding(spurNode, dst, mask)
 			if !ok {
 				continue
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -59,17 +61,25 @@ func TestKShortestK1AndUnreachable(t *testing.T) {
 	}
 }
 
+// TestKShortestRestoresGraph: Yen's spur searches exclude edges through
+// a private mask, so concurrent searches over one graph (run under
+// -race) all see the graph as built and agree with a sequential run.
 func TestKShortestRestoresGraph(t *testing.T) {
 	g, src, dst := ladderGraph(t, 4, 1, 0.2)
-	before := make([]bool, g.NumEdges())
-	for i := range before {
-		before[i] = g.Edge(EdgeID(i)).Disabled
+	want := g.KShortestPaths(src, dst, 5)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := g.KShortestPaths(src, dst, 5); !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent search diverged: %d paths vs %d", len(got), len(want))
+			}
+		}()
 	}
-	g.KShortestPaths(src, dst, 5)
-	for i := range before {
-		if g.Edge(EdgeID(i)).Disabled != before[i] {
-			t.Fatalf("edge %d disabled state leaked", i)
-		}
+	wg.Wait()
+	if sp, _ := g.ShortestPath(src, dst); sp.Weight != want[0].Weight {
+		t.Errorf("shortest path after searches = %v, want %v", sp.Weight, want[0].Weight)
 	}
 }
 

@@ -357,9 +357,8 @@ func Fig5() (*Table, error) {
 
 // Weather runs the §5 reliability extension: N seeded storms over the
 // corridor, measuring survival and conditional latency for NLN vs WH on
-// CME–NY4. The snapshots come from the provider; RouteUnderStorm
-// toggles graph edges, which is safe because provider snapshots are
-// private clones.
+// CME–NY4. The snapshots come from the provider; RouteUnderStorm reads
+// them without modifying them, so shared engine snapshots are fine.
 func Weather(p core.SnapshotProvider, date uls.Date, storms int, marginDB float64) (*Table, error) {
 	path := sites.Path{From: sites.CME, To: sites.NY4}
 	opts := core.DefaultOptions()

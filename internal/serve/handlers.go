@@ -171,6 +171,35 @@ func parsePath(r *http.Request) (sites.Path, error) {
 	return sites.Path{From: a, To: b}, nil
 }
 
+// Year-range queries (/v1/evolution, /v1/watch) accept from/to years
+// in [minQueryYear, maxQueryYear]; anything else is a 400. The corpus
+// spans 2013–2020, and the bound keeps one request's date grid small:
+// without it, from=-1000000000&to=1000000000 asks for two billion
+// sample dates.
+const (
+	minQueryYear = 1990
+	maxQueryYear = 2100
+)
+
+// parseYears parses the from/to year range (defaults 2013 and 2020).
+func parseYears(r *http.Request) (from, to int, err error) {
+	if from, err = parseInt(r, "from", 2013); err != nil {
+		return 0, 0, err
+	}
+	if to, err = parseInt(r, "to", 2020); err != nil {
+		return 0, 0, err
+	}
+	for _, y := range []int{from, to} {
+		if y < minQueryYear || y > maxQueryYear {
+			return 0, 0, fmt.Errorf("year %d out of range [%d, %d]", y, minQueryYear, maxQueryYear)
+		}
+	}
+	if from > to {
+		return 0, 0, fmt.Errorf("from=%d after to=%d", from, to)
+	}
+	return from, to, nil
+}
+
 func parseInt(r *http.Request, name string, def int) (int, error) {
 	q := r.URL.Query().Get(name)
 	if q == "" {
@@ -294,7 +323,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvolution serves /v1/evolution: one licensee's longitudinal
-// trajectory (Figs 1–2) over ?from/?to years of paper sample dates.
+// trajectory (Figs 1–2) over ?from/?to years of paper sample dates,
+// each year within [minQueryYear, maxQueryYear].
 func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 	licensee := r.URL.Query().Get("licensee")
 	if licensee == "" {
@@ -306,18 +336,9 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	from, err := parseInt(r, "from", 2013)
+	from, to, err := parseYears(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	to, err := parseInt(r, "to", 2020)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if from > to {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("from=%d after to=%d", from, to))
 		return
 	}
 	type point struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -187,10 +188,21 @@ func TestBadParams(t *testing.T) {
 		"/v1/rank?top=many",
 		"/v1/evolution", // missing licensee
 		"/v1/evolution?licensee=X&from=2020&to=2013",
+		// Years outside [minQueryYear, maxQueryYear]: unbounded, one
+		// such request asks for billions of sample dates.
+		"/v1/evolution?licensee=X&from=-1000000000&to=1000000000",
+		"/v1/evolution?licensee=X&from=1989&to=2020",
+		"/v1/evolution?licensee=X&from=2013&to=2101",
+		"/v1/evolution?licensee=X&to=1900", // default from=2013 is fine, to is not
 	} {
 		if rec := get(t, h, url); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", url, rec.Code)
 		}
+	}
+	// The range's own endpoints are accepted.
+	url := fmt.Sprintf("/v1/evolution?licensee=New+Line+Networks&from=%d&to=%d", minQueryYear, maxQueryYear)
+	if rec := get(t, h, url); rec.Code != http.StatusOK {
+		t.Errorf("%s: status = %d, want 200", url, rec.Code)
 	}
 }
 

@@ -165,10 +165,11 @@ func parseFloat(r *http.Request, name string, def float64) (float64, error) {
 }
 
 // handleWatch serves /v1/watch. Parameters: licensee (required), path
-// (FROM-TO, default CME-NY4), from/to (years, defaults 2013/2020, end
-// capped at the paper snapshot), speed (virtual days per wall second;
-// 0 = as fast as the client reads), seed (deterministic pacing jitter,
-// so many concurrent paced replays don't tick in lockstep).
+// (FROM-TO, default CME-NY4), from/to (years, defaults 2013/2020, each
+// within [minQueryYear, maxQueryYear], end capped at the paper
+// snapshot), speed (virtual days per wall second; 0 = as fast as the
+// client reads), seed (deterministic pacing jitter, so many concurrent
+// paced replays don't tick in lockstep).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	licensee := r.URL.Query().Get("licensee")
 	if licensee == "" {
@@ -180,18 +181,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	from, err := parseInt(r, "from", 2013)
+	from, to, err := parseYears(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	to, err := parseInt(r, "to", 2020)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if from > to {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("from=%d after to=%d", from, to))
 		return
 	}
 	speed, err := parseFloat(r, "speed", 0)

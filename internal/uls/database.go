@@ -29,6 +29,9 @@ type Database struct {
 
 	eventMu sync.Mutex
 	events  *EventLog // lazy; guarded by eventMu; invalidated by Add
+
+	namesMu sync.Mutex
+	names   []string // lazy Licensees(); guarded by namesMu; invalidated by Add
 }
 
 // NewDatabase returns an empty database.
@@ -107,6 +110,9 @@ func (db *Database) invalidate() {
 	db.eventMu.Lock()
 	db.events = nil // temporal event log is stale now
 	db.eventMu.Unlock()
+	db.namesMu.Lock()
+	db.names = nil // licensee list is stale now
+	db.namesMu.Unlock()
 }
 
 // Generation returns a counter that changes whenever the database is
@@ -141,18 +147,26 @@ func (db *Database) All() []*License {
 	return out
 }
 
-// Licensees returns the distinct licensee names, sorted.
+// Licensees returns the distinct licensee names, sorted. The list is
+// built on first use and kept until the next mutation (like the date
+// index and the event log); the returned slice is shared, and callers
+// must not modify it.
 func (db *Database) Licensees() []string {
-	set := make(map[string]bool)
-	for _, l := range db.licenses {
-		set[l.Licensee] = true
+	db.namesMu.Lock()
+	defer db.namesMu.Unlock()
+	if db.names == nil {
+		set := make(map[string]bool)
+		for _, l := range db.licenses {
+			set[l.Licensee] = true
+		}
+		names := make([]string, 0, len(set))
+		for n := range set {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		db.names = names
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return db.names
 }
 
 // ByLicensee returns the licenses filed under the given entity name,

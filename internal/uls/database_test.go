@@ -89,6 +89,15 @@ func TestLicensees(t *testing.T) {
 			t.Errorf("Licensees[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
+
+	// The list is cached until the next mutation, which must invalidate it.
+	if err := db.Add(testLicense("WQAA001", "Aardvark Link", NewDate(2019, time.May, 1), Date{})); err != nil {
+		t.Fatal(err)
+	}
+	got = db.Licensees()
+	if len(got) != 4 || got[0] != "Aardvark Link" {
+		t.Errorf("Licensees after Add = %v, want Aardvark Link first of 4", got)
+	}
 }
 
 func TestByLicensee(t *testing.T) {
