@@ -133,13 +133,18 @@ bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
 	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
 
-# Short fuzz pass over the bulk parsers. The lenient reader must never
-# panic, must always produce a report, and must only load licenses the
-# strict reader would re-accept; the strict reader must round-trip
-# whatever it takes. Cheap enough for ci.
+# Short fuzz pass over the bulk parsers and the two parsers the store's
+# single install path trusts. The lenient reader must never panic, must
+# always produce a report, and must only load licenses the strict
+# reader would re-accept; the strict reader must round-trip whatever it
+# takes. A shipped manifest is only accepted with a positive generation
+# and segment names Save can write; the staging journal round-trips and
+# any torn prefix parses to a prefix of its entries. Cheap enough for ci.
 fuzz-short:
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulkLenient' -fuzztime 10s
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulk$$' -fuzztime 5s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseManifest$$' -fuzztime 5s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseJournal$$' -fuzztime 5s
 
 # Full benchmark suite (E1–E17, ablations, engine, serving middleware,
 # full-pull vs delta-pull bytes-on-wire), machine-readable.

@@ -28,17 +28,16 @@
 // Bulk generation shipping (/v1/gen/*) proxies like any other read —
 // client Range headers pass through, so a replica resuming an
 // interrupted segment download keeps its ranged resume across the
-// front — but segment fetches are not hedged by default: hedging a
-// bulk download doubles replication traffic for latency nobody is
-// waiting on, so they fail over sequentially instead (-hedge-bulk
-// re-enables hedging there).
+// front — but segment fetches are never hedged: hedging a bulk
+// download doubles replication traffic for latency nobody is waiting
+// on, so they fail over sequentially instead.
 //
 // Usage:
 //
 //	hftfront [-replica r1=http://host1:8090 ...]
 //	         [-addr :8080] [-primary http://primary:8090] [-promote]
 //	         [-staleness-bound 2] [-lease-ttl 3s] [-min-healthy 1]
-//	         [-hedge-after 150ms] [-hedge-bulk]
+//	         [-hedge-after 150ms]
 //	         [-request-timeout 15s] [-retry-after 1s]
 //	         [-check-interval 250ms] [-fail-after 2] [-vnodes 64]
 //	         [-drain-timeout 15s]
@@ -93,7 +92,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "membership lease TTL for self-registered replicas")
 	minHealthy := flag.Int("min-healthy", 1, "healthy-member floor below which all requests are shed")
 	hedgeAfter := flag.Duration("hedge-after", 150*time.Millisecond, "hedge a slow read against the next replica after this long")
-	hedgeBulk := flag.Bool("hedge-bulk", false, "hedge bulk segment downloads too (default: segment fetches fail over sequentially, so one slow pull doesn't double the fleet's replication traffic)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline per client request, across all attempts")
 	retryAfter := flag.Duration("retry-after", time.Second, "base Retry-After hint on shed responses (jittered)")
 	checkInterval := flag.Duration("check-interval", 250*time.Millisecond, "health/staleness probe cadence")
@@ -120,7 +118,6 @@ func main() {
 		LeaseTTL:       *leaseTTL,
 		MinHealthy:     *minHealthy,
 		HedgeAfter:     *hedgeAfter,
-		HedgeBulk:      *hedgeBulk,
 		RequestTimeout: *requestTimeout,
 		RetryAfter:     *retryAfter,
 		CheckInterval:  *checkInterval,

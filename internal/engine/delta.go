@@ -67,9 +67,6 @@ func canonNames(licensees []string) []string {
 // between two events collapse onto one memo key; the network handed
 // back to the caller carries the literal requested date.
 func (e *Engine) rekey(req core.SnapshotRequest) (core.SnapshotRequest, bool) {
-	if e.deltaOff {
-		return req, false
-	}
 	anchor := anchorOf(e.db.EventLog(), req.Licensees, req.Date)
 	if anchor == req.Date {
 		return req, false
@@ -179,12 +176,13 @@ func (t *track) replayLocked(to, every int) (active []*uls.License, ds deltaStat
 	return snapshotActive(t.active), ds
 }
 
-// reconstructDelta is the delta-path rebuild: resolve the request's
-// track, replay the event log to the requested (anchor) date, and
-// stitch the network from the replayed active set. Stitching sorts the
-// materialized links by their unique (call sign, path number)
-// identity, so the result is deep-equal to a full stab-query rebuild
-// of the same date.
+// reconstructDelta is the engine's rebuild for a cache miss: resolve
+// the request's track, replay the event log to the requested (anchor)
+// date, and stitch the network from the replayed active set. Stitching
+// sorts the materialized links by their unique (call sign, path
+// number) identity, so the result is deep-equal to a full stab-query
+// rebuild of the same date (core.DirectProvider, the equivalence
+// suite's reference).
 func (e *Engine) reconstructDelta(req core.SnapshotRequest) (*core.Network, deltaStats, error) {
 	t := e.trackFor(req)
 	t.mu.Lock()
@@ -192,16 +190,6 @@ func (e *Engine) reconstructDelta(req core.SnapshotRequest) (*core.Network, delt
 	t.mu.Unlock()
 	n, err := core.ReconstructActive(active, t.label, req.Date, t.dcs, req.Opts)
 	return n, ds, err
-}
-
-// reconstructAny dispatches a cache-miss rebuild to the delta path or,
-// with WithoutDelta, to the legacy full-stitch path.
-func (e *Engine) reconstructAny(req core.SnapshotRequest) (*core.Network, deltaStats, error) {
-	if e.deltaOff {
-		n, err := e.reconstruct(req)
-		return n, deltaStats{}, err
-	}
-	return e.reconstructDelta(req)
 }
 
 // EvolutionSweep resolves a longitudinal sweep as one linear pass over

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,7 +49,6 @@ type Engine struct {
 	sem            chan struct{} // bounds concurrent reconstructions
 	rebuildTimeout time.Duration // 0 = wait forever
 	keyframeEvery  int           // replay keyframe interval, in events
-	deltaOff       bool          // WithoutDelta: legacy full-stitch rebuilds
 
 	// Delta replay state: one track per (licensee set, DC set, options)
 	// family, flushed together with the memo store on generation
@@ -101,14 +99,6 @@ func WithKeyframeInterval(n int) Option {
 			e.keyframeEvery = n
 		}
 	}
-}
-
-// WithoutDelta disables the event-log delta path: every cache miss is
-// a full date-interval stitch and requests memoize under their literal
-// dates. It exists as the correctness oracle and benchmark baseline
-// for the delta path, not for production use.
-func WithoutDelta() Option {
-	return func(e *Engine) { e.deltaOff = true }
 }
 
 // WithRebuildTimeout caps how long any single SnapshotContext call
@@ -310,7 +300,7 @@ func (e *Engine) wait(ctx context.Context, ent *entry) error {
 func (e *Engine) fill(key string, ent *entry, req core.SnapshotRequest) {
 	e.sem <- struct{}{}
 	var ds deltaStats
-	ent.net, ds, ent.err = e.reconstructAny(req)
+	ent.net, ds, ent.err = e.reconstructDelta(req)
 	<-e.sem
 
 	e.mu.Lock()
@@ -324,20 +314,6 @@ func (e *Engine) fill(key string, ent *entry, req core.SnapshotRequest) {
 	}
 	e.mu.Unlock()
 	close(ent.done)
-}
-
-// reconstruct performs the actual rebuild for a cache miss.
-func (e *Engine) reconstruct(req core.SnapshotRequest) (*core.Network, error) {
-	if len(req.Licensees) > 1 {
-		names := append([]string(nil), req.Licensees...)
-		sort.Strings(names)
-		return core.ReconstructUnion(e.db, names, req.Date, req.DCs, req.Opts)
-	}
-	name := ""
-	if len(req.Licensees) == 1 {
-		name = req.Licensees[0]
-	}
-	return core.Reconstruct(e.db, name, req.Date, req.DCs, req.Opts)
 }
 
 // Snapshots resolves a batch of requests in order, fanning independent
@@ -413,8 +389,8 @@ type Stats struct {
 	// requested date onto an earlier anchor's snapshot — requests the
 	// pre-delta engine would have rebuilt under a distinct date key.
 	DeltaHits int64
-	// DeltaBuilds counts rebuilds served by the event-log replay path
-	// (vs the legacy full-stitch path under WithoutDelta).
+	// DeltaBuilds counts rebuilds served by event-log replay — every
+	// rebuild, so it tracks Rebuilds.
 	DeltaBuilds int64
 	// KeyframeRestores counts replays that rewound to a keyframe (or
 	// the empty set) because the target date preceded the rolling

@@ -100,17 +100,45 @@ func BenchmarkShipFullPull(b *testing.B) {
 	b.ReportMetric(float64(meter.bytes.Load())/float64(b.N), "wireB/op")
 }
 
+// seedOffWire installs generation id of src into dst through the
+// staging area without touching the wire: each segment is read from
+// src's disk and staged as if fetched.
+func seedOffWire(b *testing.B, dst, src *store.Store, id int64) {
+	b.Helper()
+	mb, _, err := src.ExportManifest(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stg, err := dst.OpenStaging(mb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer stg.Close()
+	for _, si := range stg.Missing() {
+		w, err := stg.SegmentWriter(si)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = w.Write(diskSegment(b, src, id, si.Name))
+		w.Close()
+		if err == nil {
+			err = stg.CompleteSegment(si)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, _, err := dst.InstallStaged(stg); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkShipDeltaPull: the replica already holds generation 1, so
 // pulling generation 2 reuses every shared segment by digest and
 // fetches only the changed tail — wireB/op here over the full-pull
 // baseline is the delta-shipping saving on the wire.
 func BenchmarkShipDeltaPull(b *testing.B) {
 	pst, primary := benchPrimary(b)
-	mb1, _, err := pst.ExportManifest(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	localFetch := func(name string) ([]byte, error) { return pst.ReadSegmentRaw(1, name) }
 	meter := &countingTransport{}
 	client := clientWith(meter)
 	b.ResetTimer()
@@ -121,9 +149,7 @@ func BenchmarkShipDeltaPull(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Seed generation 1 off-wire: the replica's starting state.
-		if _, _, err := rst.Install(mb1, localFetch); err != nil {
-			b.Fatal(err)
-		}
+		seedOffWire(b, rst, pst, 1)
 		srv := serve.New(serve.Config{})
 		srv.AttachStore(rst)
 		p := NewPuller(PullerConfig{Primary: primary, Store: rst, Server: srv, Client: client})

@@ -30,10 +30,13 @@
 //     number of generations behind the primary, and shed load with
 //     503 + jittered Retry-After when no replica is serviceable.
 //
-// The chaos harness (ChaosReplica, FaultyTransport) and the E21 soak
-// drive the whole assembly under SIGKILL-style replica crashes and
-// corrupted downloads, asserting clients never observe a wrong or
-// out-of-bounds-stale generation and never an error beyond 503.
+// The chaos harness (ChaosReplica, FaultyTransport, CutTransport,
+// Partitioner, SlowGate, Campaign) lives in this package's test files,
+// out of the hftserve and hftfront binaries. The E21, E23, E24 and E25
+// soaks use it to drive the whole assembly under SIGKILL-style replica
+// crashes and corrupted downloads, asserting clients never observe a
+// wrong or out-of-bounds-stale generation and never an error beyond
+// 503.
 package fleet
 
 import "net/http"

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -78,6 +79,21 @@ func newReplica(t testing.TB, primary string, client *http.Client) (*Puller, *se
 	srv.AttachStore(st)
 	p := NewPuller(PullerConfig{Primary: primary, Store: st, Server: srv, Client: client})
 	return p, srv, st
+}
+
+// diskSegment reads one committed segment the way the Shipper streams
+// it: resolved through SegmentHandle, then read from its path.
+func diskSegment(t testing.TB, st *store.Store, id int64, name string) []byte {
+	t.Helper()
+	path, _, _, err := st.SegmentHandle(id, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // clientWith wraps a transport in a plain client.

@@ -55,12 +55,6 @@ type FrontConfig struct {
 	// probe failures that mark a replica down (default 2).
 	CheckInterval time.Duration
 	FailAfter     int
-	// HedgeBulk extends tail-latency hedging to bulk segment fetches
-	// (/v1/gen/segment/ proxied through the front). Default off: a
-	// hedged segment fetch duplicates megabytes of transfer to shave a
-	// tail the puller's resumable staging already tolerates, so bulk
-	// reads fail over sequentially instead of racing two replicas.
-	HedgeBulk bool
 	// Promote enables epoch-fenced source promotion: the front tracks a
 	// source role (the member pullers replicate from), and when the
 	// role holder's lease lapses or its /readyz fails FailAfter
@@ -373,10 +367,11 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
 	defer cancel()
 
-	// Bulk segment fetches fail over but never hedge (unless opted in):
-	// racing two replicas on a multi-megabyte body duplicates the very
-	// transfer bytes the delta-shipping path exists to save.
-	hedge := f.cfg.HedgeBulk || !strings.HasPrefix(r.URL.Path, shipPrefix+"segment/")
+	// Bulk segment fetches fail over but never hedge: racing two
+	// replicas on a multi-megabyte body duplicates the very transfer
+	// bytes the delta-shipping path exists to save, to shave a tail the
+	// puller's resumable staging already tolerates.
+	hedge := !strings.HasPrefix(r.URL.Path, shipPrefix+"segment/")
 	resp := f.hedgedFetch(ctx, cands, r.URL.RequestURI(), r.Header, hedge)
 	if resp == nil {
 		f.shed(w, "all replicas failed")

@@ -23,6 +23,11 @@ import (
 // malicious or corrupted primary must not drive an unbounded read.
 const maxShipBytes = 256 << 20
 
+// pollJitter stretches each poll sleep by up to this fraction of the
+// interval (sleeps are uniform in [Interval, 1.5·Interval]), so a
+// restarted fleet's replicas don't poll the primary in lockstep.
+const pollJitter = 0.5
+
 // PullerConfig wires one replica's pull loop.
 type PullerConfig struct {
 	// Primary is the base URL of the primary's shipping endpoints
@@ -47,12 +52,8 @@ type PullerConfig struct {
 	// its live corpus, and gains a "pull" section on /statsz.
 	Server *serve.Server
 	// Interval is the poll cadence (default 2s); each sleep is
-	// stretched by up to JitterFrac so a restarted fleet's replicas
-	// don't poll the primary in lockstep.
+	// stretched by up to pollJitter of it.
 	Interval time.Duration
-	// JitterFrac is the fraction of Interval used as jitter (default
-	// 0.5, i.e. sleeps are uniform in [Interval, 1.5·Interval]).
-	JitterFrac float64
 	// MaxBackoff caps the exponential backoff consecutive failures
 	// build up to (default 8·Interval). One success resets to Interval.
 	MaxBackoff time.Duration
@@ -74,9 +75,6 @@ type PullerConfig struct {
 func (c PullerConfig) withDefaults() PullerConfig {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.5
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 8 * c.Interval
@@ -207,7 +205,7 @@ func (p *Puller) Run(ctx context.Context) {
 			failStreak = 0
 		}
 		d := p.nextDelay(failStreak)
-		d += time.Duration(rand.Float64() * p.cfg.JitterFrac * float64(p.cfg.Interval))
+		d += time.Duration(rand.Float64() * pollJitter * float64(p.cfg.Interval))
 		select {
 		case <-ctx.Done():
 			return
@@ -301,14 +299,10 @@ func (p *Puller) PullOnce(ctx context.Context) (installed bool, err error) {
 	}
 	gi, err := store.ParseManifest(mb)
 	if err != nil {
-		// The manifest itself arrived corrupted — a verification
-		// rejection, same as a bad segment.
+		// The manifest itself arrived corrupted or malformed — a
+		// verification rejection, same as a bad segment.
 		p.bump(func(st *PullStatus) { st.Attempts++; st.Rejections++ })
-		return false, p.fail(fmt.Errorf("%w: manifest: %v", store.ErrVerify, err))
-	}
-	if gi.ID <= 0 {
-		p.bump(func(st *PullStatus) { st.Attempts++; st.Rejections++ })
-		return false, p.fail(fmt.Errorf("%w: manifest names generation %d", store.ErrVerify, gi.ID))
+		return false, p.fail(fmt.Errorf("manifest: %w", err))
 	}
 	local, err := p.cfg.Store.LatestID()
 	if err != nil {
@@ -495,10 +489,10 @@ func (p *Puller) clearError() {
 
 // fetchStagedSegment downloads one segment into the staging area,
 // resuming any existing partial with a ranged GET, and runs the
-// completion ladder. Errors classify exactly like Install's: ErrVerify
-// for bytes that fail the manifest's checks (the poisoned partial is
-// discarded), ErrGenGone for a source that moved on mid-pull, anything
-// else a transport failure whose partial stays staged for resume.
+// completion ladder. Errors are ErrVerify for bytes that fail the
+// manifest's checks (the poisoned partial is discarded), ErrGenGone
+// for a source that moved on mid-pull, anything else a transport
+// failure whose partial stays staged for resume.
 func (p *Puller) fetchStagedSegment(ctx context.Context, src string, gi *store.GenInfo, si store.SegmentInfo, stg *store.Staging) error {
 	url := fmt.Sprintf("%s%ssegment/%d/%s", src, shipPrefix, gi.ID, si.Name)
 	off := stg.PartialSize(si.Name)
@@ -633,8 +627,8 @@ func parseContentRangeStart(v string) (int64, error) {
 }
 
 // fetch GETs one shipping URL. A 404 carrying X-Gen-Gone is translated
-// back into the store's retryable ErrGenGone so Install's caller can
-// classify it.
+// back into the store's retryable ErrGenGone so the pull can classify
+// it.
 func (p *Puller) fetch(ctx context.Context, url string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

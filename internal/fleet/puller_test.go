@@ -1,10 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
+	"hftnetview/internal/store"
 	"hftnetview/internal/synth"
 )
 
@@ -168,6 +177,91 @@ func TestPullerCorruptManifest(t *testing.T) {
 	}
 	if st := p.Status(); st.Rejections != 1 {
 		t.Errorf("rejections = %d, want 1", st.Rejections)
+	}
+}
+
+// resealManifest re-frames a real manifest after mutate edits its
+// decoded JSON body, with a correct checksum line.
+func resealManifest(t *testing.T, mb []byte, mutate func(m map[string]any)) []byte {
+	t.Helper()
+	line, _, _ := bytes.Cut(mb, []byte("\n"))
+	var m map[string]any
+	if err := json.Unmarshal(line, &m); err != nil {
+		t.Fatal(err)
+	}
+	mutate(m)
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	return fmt.Appendf(nil, "%s\n%s\n", body, hex.EncodeToString(sum[:]))
+}
+
+// TestPullerRejectsMalformedManifest: a correctly checksummed manifest
+// naming a non-positive generation or a segment name Save cannot write
+// fails the pull as exactly one attempt and one rejection, before any
+// segment is requested; a five-digit segment name is not a rejection.
+func TestPullerRejectsMalformedManifest(t *testing.T) {
+	pst, _, _ := newPrimary(t)
+	mb, _, err := pst.ExportManifest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segName := func(name string) func(map[string]any) {
+		return func(m map[string]any) { m["segments"].([]any)[0].(map[string]any)["name"] = name }
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(map[string]any)
+		reject bool
+	}{
+		{"generation 0", func(m map[string]any) { m["generation"] = 0 }, true},
+		{"generation -1", func(m map[string]any) { m["generation"] = -1 }, true},
+		{"traversal", segName("../seg-0001.dat"), true},
+		{"short name", segName("seg-1.dat"), true},
+		{"nested name", segName("seg-0001.dat/x"), true},
+		{"five digits", segName("seg-10000.dat"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := resealManifest(t, mb, tc.mutate)
+			var segmentGets atomic.Int64
+			shipper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == shipPrefix+"manifest" {
+					w.Write(forged)
+					return
+				}
+				segmentGets.Add(1)
+				http.NotFound(w, r)
+			}))
+			defer shipper.Close()
+			p, _, rst := newReplica(t, shipper.URL, nil)
+
+			installed, err := p.PullOnce(context.Background())
+			if installed || err == nil {
+				t.Fatalf("PullOnce = (%v, %v), want a failed pull", installed, err)
+			}
+			st := p.Status()
+			if !tc.reject {
+				if st.Rejections != 0 || segmentGets.Load() == 0 {
+					t.Fatalf("accepted manifest: rejections %d, segment requests %d; want 0 and > 0",
+						st.Rejections, segmentGets.Load())
+				}
+				return
+			}
+			if !errors.Is(err, store.ErrVerify) {
+				t.Errorf("err = %v, want ErrVerify", err)
+			}
+			if st.Attempts != 1 || st.Rejections != 1 {
+				t.Errorf("attempts %d, rejections %d; want 1 and 1", st.Attempts, st.Rejections)
+			}
+			if n := segmentGets.Load(); n != 0 {
+				t.Errorf("%d segment requests for a rejected manifest", n)
+			}
+			if got, _ := rst.LatestID(); got != 0 {
+				t.Errorf("replica committed generation %d", got)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -77,9 +75,8 @@ type PeerFetcherConfig struct {
 // local manifest's corpus digest. The digest gate is what makes repair
 // safe across promotions: a peer holding a same-id generation from a
 // different branch is silently skipped, never blended in. The fetched
-// bytes are verified against the manifest entry's exact size and
-// SHA-256 here as well as by the store, so a lying peer just means
-// "try the next one".
+// bytes pass store.CheckSegment here as well as in the scrubber, so a
+// lying peer just means "try the next one".
 func NewPeerFetcher(cfg PeerFetcherConfig) store.SegmentFetch {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
@@ -139,14 +136,7 @@ func NewPeerFetcher(cfg PeerFetcherConfig) store.SegmentFetch {
 			}
 			data, err := get(ctx, fmt.Sprintf("%s%ssegment/%d/%s", peer.URL, shipPrefix, gen.ID, seg.Name),
 				headerGate("X-Segment-SHA256", seg.SHA256))
-			if err != nil {
-				continue
-			}
-			if int64(len(data)) != seg.Bytes {
-				continue
-			}
-			sum := sha256.Sum256(data)
-			if hex.EncodeToString(sum[:]) != seg.SHA256 {
+			if err != nil || store.CheckSegment(data, seg) != nil {
 				continue // rotten on the peer too, or corrupted in flight
 			}
 			return data, nil

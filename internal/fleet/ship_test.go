@@ -59,11 +59,7 @@ func TestShipperEndpoints(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("segment %s status %d", seg.Name, resp.StatusCode)
 		}
-		disk, err := st.ReadSegmentRaw(latest.ID, seg.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(body, disk) {
+		if !bytes.Equal(body, diskSegment(t, st, latest.ID, seg.Name)) {
 			t.Errorf("segment %s shipped bytes differ from disk", seg.Name)
 		}
 	}
@@ -143,10 +139,7 @@ func TestShipperRangeAndDigests(t *testing.T) {
 
 	si := gi.Segments[0]
 	segURL := srv.URL + "/v1/gen/segment/" + strconv.FormatInt(gi.ID, 10) + "/" + si.Name
-	disk, err := st.ReadSegmentRaw(gi.ID, si.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disk := diskSegment(t, st, gi.ID, si.Name)
 
 	// Full GET: digest headers + a strong ETag a resume can validate
 	// against.

@@ -156,7 +156,7 @@ func TestBreakerStaleOutcomeIgnored(t *testing.T) {
 // TestBreakerConcurrent: hammering Allow/done from many goroutines
 // stays race-free and the automaton's counters stay coherent.
 func TestBreakerConcurrent(t *testing.T) {
-	b, _ := testBreaker(5, time.Millisecond)
+	b, clk := testBreaker(5, time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -177,7 +177,7 @@ func TestBreakerConcurrent(t *testing.T) {
 		t.Fatalf("negative counters: %+v", st)
 	}
 	// Settle whatever state the storm left: the breaker must still be
-	// operable.
+	// operable once its cooldown passes on the clock it reads.
 	deadline := time.Now().Add(time.Second)
 	for {
 		done, err := b.Allow()
@@ -188,6 +188,6 @@ func TestBreakerConcurrent(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker wedged after concurrent storm")
 		}
-		time.Sleep(time.Millisecond)
+		clk.Advance(time.Millisecond)
 	}
 }

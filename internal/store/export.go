@@ -7,19 +7,18 @@ import (
 	"path/filepath"
 	"regexp"
 	"time"
-
-	"hftnetview/internal/uls"
 )
 
 // Generation shipping: the manifest + segment files ARE the replication
 // wire format. A primary exports the raw bytes of its committed
-// artifacts; a replica downloads them, verifies everything the manifest
-// promises (sizes, per-segment SHA-256, block CRCs, record decode,
-// license validation), and only then commits the generation into its
-// own store with the same temp-dir/rename protocol Save uses. A
-// generation that fails any check is never committed, so a replica's
-// store only ever contains fully-verified generations — exactly the
-// invariant warm restart already depends on.
+// artifacts (ExportManifest, SegmentHandle); a replica stages them
+// through OpenStaging, where CheckSegment holds every segment to the
+// manifest's exact size and SHA-256, and InstallStaged deep-verifies
+// the assembled set (block CRCs, record decode, license validation)
+// before committing it with the same temp-dir/rename protocol Save
+// uses. A generation that fails any check is never committed, so a
+// replica's store only ever contains fully-verified generations —
+// exactly the invariant warm restart already depends on.
 
 // ErrGenGone marks a read of a generation that is no longer (fully) on
 // disk — typically a concurrent GC removed it between the reader
@@ -27,8 +26,8 @@ import (
 // should re-list and pull a newer generation.
 var ErrGenGone = errors.New("store: generation no longer on disk")
 
-// ErrVerify marks a generation that failed verification during
-// Install: the downloaded bytes do not match what the manifest
+// ErrVerify marks shipped bytes that failed verification: a malformed
+// manifest, or segment bytes that do not match what the manifest
 // promises. Retrying the same bytes is pointless; re-downloading may
 // succeed.
 var ErrVerify = errors.New("store: shipped generation failed verification")
@@ -53,7 +52,7 @@ func (s *Store) LatestID() (int64, error) {
 // ExportManifest returns the raw bytes of one committed manifest file
 // (id <= 0 means the newest). The bytes are self-checksummed and carry
 // every segment's name, exact size, and SHA-256 — they are the
-// replication wire format, handed to a replica's Install verbatim.
+// replication wire format, handed to a replica's OpenStaging verbatim.
 // A missing manifest is ErrGenGone (retryable).
 func (s *Store) ExportManifest(id int64) ([]byte, int64, error) {
 	if id <= 0 {
@@ -76,28 +75,11 @@ func (s *Store) ExportManifest(id int64) ([]byte, int64, error) {
 	return data, id, nil
 }
 
-// segNameRE is the only segment file name shape Save ever writes;
-// anything else in a segment request is rejected before touching the
+// segNameRE is the shape of every segment file name Save can write
+// (seg-%04d.dat, which widens past four digits); a manifest or segment
+// request naming anything else is rejected before touching the
 // filesystem (no separators, no traversal).
-var segNameRE = regexp.MustCompile(`^seg-[0-9]{4}\.dat$`)
-
-// ReadSegmentRaw returns the raw bytes of one committed segment file.
-// The caller is expected to verify them against the manifest entry
-// (Install does); this method only guards the name and maps a missing
-// file to ErrGenGone (retryable: concurrent GC swept the generation).
-func (s *Store) ReadSegmentRaw(id int64, name string) ([]byte, error) {
-	if id <= 0 || !segNameRE.MatchString(name) {
-		return nil, fmt.Errorf("store: bad segment reference %d/%q", id, name)
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, genDirName(id), name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: generation %d segment %s", ErrGenGone, id, name)
-		}
-		return nil, fmt.Errorf("store: reading segment %d/%s: %w", id, name, err)
-	}
-	return data, nil
-}
+var segNameRE = regexp.MustCompile(`^seg-[0-9]{4,}\.dat$`)
 
 // GenDigest returns the corpus digest one committed manifest records —
 // the cheap identity check pullers use to tell a divergent branch from
@@ -113,127 +95,12 @@ func (s *Store) GenDigest(id int64) (string, error) {
 // ParseManifest self-verifies raw manifest bytes (as returned by
 // ExportManifest or fetched over the wire) and returns the generation's
 // public description — how a replica learns a shipped generation's id
-// and segment list before deciding to pull it.
+// and segment list before deciding to pull it. Malformed bytes wrap
+// ErrVerify.
 func ParseManifest(data []byte) (*GenInfo, error) {
 	m, err := parseManifestBytes(data)
 	if err != nil {
-		return nil, err
-	}
-	gi := m.info()
-	return &gi, nil
-}
-
-// Install commits a shipped generation into this store. manifestBytes
-// are the primary's manifest verbatim; fetch returns the raw bytes of
-// one named segment (a closure over an HTTP download, a test stub, or
-// another store's ReadSegmentRaw). The protocol:
-//
-//  1. self-verify the manifest (checksum, layout + codec versions);
-//  2. refuse ids this store already has committed (idempotence);
-//  3. download every segment into a tmp-gen dir, checking the
-//     manifest's exact size and SHA-256 per segment as it lands;
-//  4. deep-verify the assembled directory exactly like Fsck — block
-//     CRCs, record decode, full license validation, corpus digest —
-//     rebuilding the database in the process;
-//  5. only then commit: rename the segment dir into place, then write
-//     and atomically rename the manifest, both fsynced.
-//
-// Any verification failure returns an error wrapping ErrVerify with
-// nothing committed and the temp dir removed; the caller keeps serving
-// its previous generation. Fetch errors pass through unwrapped (the
-// puller classifies transport vs. verification failures; a fetch error
-// wrapping ErrGenGone means the primary GC'd the generation mid-pull
-// and the pull should be retried against a newer manifest).
-func (s *Store) Install(manifestBytes []byte, fetch func(name string) ([]byte, error)) (*GenInfo, *uls.Database, error) {
-	m, err := parseManifestBytes(manifestBytes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrVerify, err)
-	}
-	if m.Generation <= 0 {
-		return nil, nil, fmt.Errorf("%w: manifest names generation %d", ErrVerify, m.Generation)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, ErrClosed
-	}
-	if _, err := os.Stat(filepath.Join(s.dir, manifestName(m.Generation))); err == nil {
-		return nil, nil, fmt.Errorf("store: generation %d already installed: %w", m.Generation, os.ErrExist)
-	}
-
-	tmpDir := filepath.Join(s.dir, "tmp-"+genDirName(m.Generation))
-	if err := os.Mkdir(tmpDir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("store: creating temp dir: %w", err)
-	}
-	gi, db, err := s.install(m, manifestBytes, tmpDir, fetch)
-	if err != nil {
-		os.RemoveAll(tmpDir)
-		os.Remove(filepath.Join(s.dir, manifestName(m.Generation)+".tmp"))
-	}
-	return gi, db, err
-}
-
-func (s *Store) install(m *manifest, manifestBytes []byte, tmpDir string, fetch func(name string) ([]byte, error)) (*GenInfo, *uls.Database, error) {
-	for _, si := range m.Segments {
-		if !segNameRE.MatchString(si.Name) {
-			return nil, nil, fmt.Errorf("%w: manifest names segment %q", ErrVerify, si.Name)
-		}
-		data, err := fetch(si.Name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: fetching segment %s: %w", si.Name, err)
-		}
-		// Size and whole-file digest first: the cheapest checks that
-		// already pin the exact published bytes, before any decode work.
-		if int64(len(data)) != si.Bytes {
-			return nil, nil, fmt.Errorf("%w: segment %s is %d bytes, manifest says %d",
-				ErrVerify, si.Name, len(data), si.Bytes)
-		}
-		if got := segmentDigest(data); got != si.SHA256 {
-			return nil, nil, fmt.Errorf("%w: segment %s SHA-256 mismatch", ErrVerify, si.Name)
-		}
-		if err := s.writeFileSync(filepath.Join(tmpDir, si.Name), data); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Deep verification of the assembled directory — the same scrub
-	// Fsck runs — doubles as the database rebuild the caller needs to
-	// publish the generation.
-	db, err := verifyGenerationDir(m, tmpDir, true)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrVerify, err)
-	}
-	gi, err := s.commitGeneration(m, manifestBytes, tmpDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gi, db, nil
-}
-
-// commitGeneration publishes an assembled, fully verified segment
-// directory with Save's protocol: rename the segment dir into place,
-// then write and atomically rename the manifest, each made durable
-// with a directory sync. Shared by Install and InstallStaged; the
-// caller holds s.mu and has already deep-verified tmpDir against m.
-func (s *Store) commitGeneration(m *manifest, manifestBytes []byte, tmpDir string) (*GenInfo, error) {
-	genDir := filepath.Join(s.dir, genDirName(m.Generation))
-	if err := os.Rename(tmpDir, genDir); err != nil {
-		return nil, fmt.Errorf("store: publishing segment dir: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return nil, fmt.Errorf("store: syncing %s: %w", s.dir, err)
-	}
-	final := filepath.Join(s.dir, manifestName(m.Generation))
-	tmp := final + ".tmp"
-	if err := s.writeFileSync(tmp, manifestBytes); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return nil, fmt.Errorf("store: committing manifest: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return nil, fmt.Errorf("store: syncing %s: %w", s.dir, err)
+		return nil, fmt.Errorf("%w: %v", ErrVerify, err)
 	}
 	gi := m.info()
 	return &gi, nil

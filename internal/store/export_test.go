@@ -2,20 +2,17 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"hftnetview/internal/synth"
 )
-
-// shipFetch is a fetch closure over another store's raw reader — the
-// in-process stand-in for the HTTP segment download.
-func shipFetch(src *Store, id int64) func(name string) ([]byte, error) {
-	return func(name string) ([]byte, error) { return src.ReadSegmentRaw(id, name) }
-}
 
 func TestExportInstallRoundTrip(t *testing.T) {
 	db := corpus(t)
@@ -44,7 +41,7 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	}
 
 	replica := open(t, t.TempDir())
-	igi, idb, err := replica.Install(mb, shipFetch(primary, id))
+	igi, idb, err := stagedPull(t, replica, primary, id, mb, &fetchLog{})
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -65,13 +62,14 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	}
 
 	// Re-installing the same generation is refused (idempotence).
-	if _, _, err := replica.Install(mb, shipFetch(primary, id)); !errors.Is(err, os.ErrExist) {
+	if _, _, err := stagedPull(t, replica, primary, id, mb, &fetchLog{}); !errors.Is(err, os.ErrExist) {
 		t.Fatalf("re-install: err = %v, want os.ErrExist", err)
 	}
 }
 
 // TestInstallRejectsCorruptDownload flips bits in (or truncates) a
-// fetched segment and asserts Install refuses to commit anything.
+// fetched segment and asserts the staged install refuses to commit
+// anything, and keeps no partial of the rejected bytes.
 func TestInstallRejectsCorruptDownload(t *testing.T) {
 	db := corpus(t)
 	primary := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
@@ -87,27 +85,36 @@ func TestInstallRejectsCorruptDownload(t *testing.T) {
 	for _, mode := range []string{"bitflip", "truncate"} {
 		replica := open(t, t.TempDir())
 		target := gi.Segments[len(gi.Segments)/2].Name
-		fetch := func(name string) ([]byte, error) {
-			data, err := primary.ReadSegmentRaw(id, name)
-			if err != nil || name != target {
-				return data, err
+		wire := &fetchLog{corrupt: func(name string, data []byte) []byte {
+			if name != target {
+				return data
 			}
 			if mode == "bitflip" {
-				return synth.FlipBits(data, 7, 3), nil
+				return synth.FlipBits(data, 7, 3)
 			}
-			return data[:len(data)/2], nil
-		}
-		_, _, err := replica.Install(mb, fetch)
+			return data[:len(data)/2]
+		}}
+		_, _, err := stagedPull(t, replica, primary, id, mb, wire)
 		if !errors.Is(err, ErrVerify) {
 			t.Fatalf("%s: install err = %v, want ErrVerify", mode, err)
 		}
-		// Nothing committed, no temp debris.
+		// Nothing committed, no temp debris, and the rejected bytes
+		// are not kept as a partial a resume could build on.
 		if latest, _ := replica.LatestID(); latest != 0 {
 			t.Fatalf("%s: replica committed generation %d from corrupt download", mode, latest)
 		}
 		ents, _ := os.ReadDir(replica.Dir())
 		for _, e := range ents {
-			t.Errorf("%s: debris left in replica store: %s", mode, e.Name())
+			if strings.HasPrefix(e.Name(), "tmp-gen-") || strings.HasPrefix(e.Name(), "MANIFEST-") {
+				t.Errorf("%s: debris left in replica store: %s", mode, e.Name())
+			}
+		}
+		rep, err := replica.StagingReportFor(id)
+		if err != nil {
+			t.Fatalf("%s: staging report: %v", mode, err)
+		}
+		if _, ok := rep.Partial[target]; ok {
+			t.Errorf("%s: partial of the rejected segment %s survived", mode, target)
 		}
 	}
 }
@@ -138,7 +145,7 @@ func TestGCReaderRace(t *testing.T) {
 	if _, err := primary.GC(1); err != nil {
 		t.Fatalf("gc: %v", err)
 	}
-	if _, err := primary.ReadSegmentRaw(1, pgi.Segments[0].Name); !IsRetryable(err) {
+	if _, _, _, err := primary.SegmentHandle(1, pgi.Segments[0].Name); !IsRetryable(err) {
 		t.Fatalf("segment read after GC: err = %v, want retryable ErrGenGone", err)
 	}
 	if _, _, err := primary.ExportManifest(1); !IsRetryable(err) {
@@ -150,7 +157,13 @@ func TestGCReaderRace(t *testing.T) {
 	// every fresh Save. Every pull must either install a fully-verified
 	// corpus or fail with an error the puller can classify (retryable
 	// gone, or a fetch error wrapping it); ErrVerify here would mean a
-	// half-deleted generation leaked through the read side.
+	// half-deleted generation leaked through the read side. A staged
+	// pull fsyncs each segment three times, so it can outlast one churn
+	// cycle; like the fleet's puller, a replica keeps its staging across
+	// retryable failures, the next pull harvests the segments already
+	// verified (every churn generation holds the same corpus), and only
+	// the still-missing ones race GC again. After an install the next
+	// pull starts from a cold replica.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -174,8 +187,8 @@ func TestGCReaderRace(t *testing.T) {
 	}()
 
 	installed, retried := 0, 0
+	replica := open(t, t.TempDir())
 	for i := 0; i < 40; i++ {
-		replica := open(t, t.TempDir())
 		// Pull whatever is oldest right now — maximally exposed to GC.
 		ids, err := primary.manifestIDs()
 		if err != nil || len(ids) == 0 {
@@ -190,13 +203,14 @@ func TestGCReaderRace(t *testing.T) {
 			retried++
 			continue
 		}
-		_, idb, err := replica.Install(mb, shipFetch(primary, oldest))
+		_, idb, err := stagedPull(t, replica, primary, oldest, mb, &fetchLog{})
 		switch {
 		case err == nil:
 			if !bytes.Equal(bulkBytes(t, idb), bulkBytes(t, db)) {
 				t.Fatalf("pull %d: installed corpus differs from the published one", i)
 			}
 			installed++
+			replica = open(t, t.TempDir())
 		case IsRetryable(err):
 			retried++
 		case errors.Is(err, ErrVerify):
@@ -211,4 +225,152 @@ func TestGCReaderRace(t *testing.T) {
 	if installed == 0 {
 		t.Error("no pull ever completed — the race harness starved the reader")
 	}
+}
+
+// reseal re-frames a real manifest after mutate edits its decoded
+// body, with a correct checksum: only the one shape check in
+// parseManifestBytes stands between the result and every consumer.
+func reseal(t testing.TB, mb []byte, mutate func(*manifest)) []byte {
+	t.Helper()
+	body, _, _ := bytes.Cut(mb, []byte("\n"))
+	var m manifest
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&m)
+	body, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealManifest(body)
+}
+
+// malformedManifests are the checksummed manifest shapes no consumer
+// may accept.
+var malformedManifests = []struct {
+	name   string
+	mutate func(*manifest)
+}{
+	{"generation 0", func(m *manifest) { m.Generation = 0 }},
+	{"generation -1", func(m *manifest) { m.Generation = -1 }},
+	{"traversal", func(m *manifest) { m.Segments[0].Name = "../seg-0001.dat" }},
+	{"short name", func(m *manifest) { m.Segments[0].Name = "seg-1.dat" }},
+	{"nested name", func(m *manifest) { m.Segments[0].Name = "seg-0001.dat/x" }},
+}
+
+// TestManifestShapeChecked: a correctly checksummed manifest naming a
+// non-positive generation or a segment name Save cannot write is
+// ErrVerify from both consumers of shipped manifest bytes, and the
+// refused OpenStaging creates nothing; a five-digit segment name, which
+// Save writes past 9999 segments, is accepted.
+func TestManifestShapeChecked(t *testing.T) {
+	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
+	gi, err := src.Save(corpus(t), "shape")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _, err := src.ExportManifest(gi.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range malformedManifests {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := reseal(t, mb, tc.mutate)
+			if _, err := ParseManifest(bad); !errors.Is(err, ErrVerify) {
+				t.Errorf("ParseManifest = %v, want ErrVerify", err)
+			}
+			dst := open(t, t.TempDir())
+			if _, err := dst.OpenStaging(bad); !errors.Is(err, ErrVerify) {
+				t.Errorf("OpenStaging = %v, want ErrVerify", err)
+			}
+			if ents, _ := os.ReadDir(dst.Dir()); len(ents) != 0 {
+				t.Errorf("refused OpenStaging left %s behind", ents[0].Name())
+			}
+		})
+	}
+
+	wide := reseal(t, mb, func(m *manifest) { m.Segments[0].Name = "seg-10000.dat" })
+	if _, err := ParseManifest(wide); err != nil {
+		t.Fatalf("ParseManifest(seg-10000.dat) = %v, want accepted", err)
+	}
+	stg, err := open(t, t.TempDir()).OpenStaging(wide)
+	if err != nil {
+		t.Fatalf("OpenStaging(seg-10000.dat) = %v, want accepted", err)
+	}
+	stg.Close()
+}
+
+// fuzzSeeds publishes a real generation and stages it on a second
+// store with its first segment completed, returning the shipped
+// manifest and the staging area's JOURNAL.
+func fuzzSeeds(f *testing.F) (manifestBytes, journal []byte) {
+	src := open(f, f.TempDir())
+	gi, err := src.Save(corpus(f), "fuzz seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	mb, _, err := src.ExportManifest(gi.ID)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dst := open(f, f.TempDir())
+	stg, err := dst.OpenStaging(mb)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer stg.Close()
+	si := gi.Segments[0]
+	data, err := shippedSegment(src, gi.ID, si.Name)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w, err := stg.SegmentWriter(si)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, err = w.Write(data)
+	w.Close()
+	if err == nil {
+		err = stg.CompleteSegment(si)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	journal, err = os.ReadFile(filepath.Join(dst.Dir(), stagingRootName, stagingDirName(gi.ID), stagingJournalFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return mb, journal
+}
+
+// FuzzParseManifest feeds ParseManifest raw bytes, and a JSON body the
+// target checksums itself so mutations get past the SHA-256 line. It
+// must never panic, must refuse with ErrVerify, and every manifest it
+// accepts names a positive generation and only segment names Save can
+// write.
+func FuzzParseManifest(f *testing.F) {
+	mb, _ := fuzzSeeds(f)
+	body, _, _ := bytes.Cut(mb, []byte("\n"))
+	f.Add(mb, body)
+	gen0, _, _ := bytes.Cut(reseal(f, mb, func(m *manifest) { m.Generation = 0 }), []byte("\n"))
+	f.Add([]byte(nil), gen0)
+	f.Fuzz(func(t *testing.T, raw, body []byte) {
+		for _, data := range [][]byte{raw, sealManifest(body)} {
+			gi, err := ParseManifest(data)
+			if err != nil {
+				if !errors.Is(err, ErrVerify) {
+					t.Fatalf("refusal %v does not wrap ErrVerify", err)
+				}
+				continue
+			}
+			if gi.ID <= 0 {
+				t.Fatalf("accepted generation %d", gi.ID)
+			}
+			for _, si := range gi.Segments {
+				if !segNameRE.MatchString(si.Name) {
+					t.Fatalf("accepted segment name %q", si.Name)
+				}
+			}
+		}
+	})
 }

@@ -12,7 +12,7 @@ import (
 
 // Anti-entropy scrubbing.
 //
-// Install and boot verify a generation once; bit-rot after that point
+// InstallStaged and boot verify a generation once; bit-rot after that point
 // is only caught when the generation is next loaded — which for a
 // long-serving replica is never. The Scrubber closes that gap: a
 // throttled background walk over every committed generation running
@@ -25,8 +25,8 @@ import (
 //
 //  1. a corrupt segment is re-fetched from a peer (the injected
 //     SegmentFetch; in the fleet, any member whose manifest for the
-//     generation carries the same corpus digest). The replacement is
-//     verified against the manifest's exact size and SHA-256 *before*
+//     generation carries the same corpus digest). The replacement
+//     passes CheckSegment (exact size, then SHA-256) *before*
 //     anything on disk moves; only then is the corrupt original moved
 //     into quarantine/ (kept for forensics) and the verified bytes
 //     renamed into place — repair in place, no restart;
@@ -210,9 +210,9 @@ func (sc *Scrubber) scrubSegment(ctx context.Context, m *manifest, gi GenInfo, s
 		sc.miss(id, si.Name, committed)
 		return
 	}
-	if int64(len(data)) != si.Bytes || segmentDigest(data) != si.SHA256 {
+	if err := CheckSegment(data, si); err != nil {
 		sc.note(func(st *ScrubStatus) {
-			st.LastError = fmt.Sprintf("gen %d %s: peer copy failed verification", id, si.Name)
+			st.LastError = fmt.Sprintf("gen %d %s: peer copy: %v", id, si.Name, err)
 		})
 		sc.miss(id, si.Name, committed)
 		return
@@ -287,7 +287,7 @@ func (sc *Scrubber) clearMiss(id int64, what string) {
 // quarantine/ (when still present), the replacement is written and
 // fsynced beside the generation, then renamed into place with a
 // directory sync. It runs under the store lock so it cannot
-// interleave with Save, Install, or GC; a generation GC'd meanwhile
+// interleave with Save, InstallStaged, or GC; a generation GC'd meanwhile
 // returns ErrGenGone untouched. A crash between the quarantine move
 // and the rename leaves the segment missing — exactly the state
 // Load's fall-back and the next scrub cycle already handle.

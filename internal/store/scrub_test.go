@@ -29,7 +29,7 @@ func flipByte(t *testing.T, dir string, id int64, seg string) string {
 // generations.
 func peerFetch(peer *Store) SegmentFetch {
 	return func(_ context.Context, gen GenInfo, seg SegmentInfo) ([]byte, error) {
-		return peer.ReadSegmentRaw(gen.ID, seg.Name)
+		return shippedSegment(peer, gen.ID, seg.Name)
 	}
 }
 
@@ -49,9 +49,7 @@ func TestScrubRepairsFromPeer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	if _, _, err := sick.Install(mb, func(name string) ([]byte, error) {
-		return healthy.ReadSegmentRaw(gi.ID, name)
-	}); err != nil {
+	if _, _, err := stagedPull(t, sick, healthy, gi.ID, mb, &fetchLog{}); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 
@@ -100,9 +98,7 @@ func TestScrubRepairsMissingSegment(t *testing.T) {
 		t.Fatalf("save: %v", err)
 	}
 	mb, _, _ := healthy.ExportManifest(gi.ID)
-	if _, _, err := sick.Install(mb, func(name string) ([]byte, error) {
-		return healthy.ReadSegmentRaw(gi.ID, name)
-	}); err != nil {
+	if _, _, err := stagedPull(t, sick, healthy, gi.ID, mb, &fetchLog{}); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	if err := os.Remove(filepath.Join(dir, genDirName(gi.ID), gi.Segments[0].Name)); err != nil {

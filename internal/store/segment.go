@@ -51,6 +51,22 @@ func segmentDigest(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// CheckSegment holds one segment's bytes to their manifest entry:
+// exact size first (the cheap check), then the whole-file SHA-256,
+// which pins the exact published bytes. Every copy of a shipped segment
+// passes it before it counts — fetched, resumed, reused locally, or
+// supplied by a repair peer. A mismatch wraps ErrVerify.
+func CheckSegment(data []byte, si SegmentInfo) error {
+	if int64(len(data)) != si.Bytes {
+		return fmt.Errorf("%w: segment %s is %d bytes, manifest says %d",
+			ErrVerify, si.Name, len(data), si.Bytes)
+	}
+	if segmentDigest(data) != si.SHA256 {
+		return fmt.Errorf("%w: segment %s SHA-256 mismatch", ErrVerify, si.Name)
+	}
+	return nil
+}
+
 // readSegment verifies and unframes one segment file against its
 // manifest entry: size, magic, then every block CRC — plus, when deep,
 // the whole-file SHA-256 (the Fsck scrub; the boot path relies on the

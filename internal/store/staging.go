@@ -17,10 +17,11 @@ import (
 
 // Delta shipping & resumable transfer.
 //
-// Install (export.go) downloads a whole generation in one shot: a kill,
-// partition, or slow link mid-pull discards every byte of progress, and
-// every pull re-fetches segments the replica already holds as part of
-// an earlier generation. The staging area fixes both:
+// The staging area is the only way a shipped generation enters a
+// store. A whole-generation download in one shot would lose every byte
+// of progress to a kill, partition, or slow link mid-pull, and would
+// re-fetch segments the replica already holds as part of an earlier
+// generation. Staging avoids both:
 //
 //	dir/staging/<gen-000007>/
 //	  MANIFEST.bin      the incoming manifest, verbatim, saved first
@@ -33,7 +34,7 @@ import (
 // mid-pull resumes where it stopped. The JOURNAL records which
 // segments are complete-and-verified, one checksummed line per event;
 // a torn tail line (crash mid-append) is ignored. A segment reaches
-// the journal only after the full ladder passed — exact size, then
+// the journal only after CheckSegment passed — exact size, then
 // SHA-256 against the manifest entry — and the verified file was
 // renamed from its .part name and the directory synced, in that
 // order. So every crash window is safe:
@@ -182,14 +183,6 @@ func (s *Store) OpenStaging(manifestBytes []byte) (*Staging, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrVerify, err)
 	}
-	if m.Generation <= 0 {
-		return nil, fmt.Errorf("%w: manifest names generation %d", ErrVerify, m.Generation)
-	}
-	for _, si := range m.Segments {
-		if !segNameRE.MatchString(si.Name) {
-			return nil, fmt.Errorf("%w: manifest names segment %q", ErrVerify, si.Name)
-		}
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,7 +301,7 @@ func (g *Staging) adoptSurvivors() {
 		if err != nil {
 			continue
 		}
-		if int64(len(data)) == si.Bytes && segmentDigest(data) == si.SHA256 {
+		if CheckSegment(data, si) == nil {
 			g.verified[si.Name] = true
 			g.origins[si.Name] = "resumed"
 			g.stats.ResumedSegments++
@@ -382,17 +375,16 @@ func (g *Staging) ReuseLocal(si SegmentInfo) bool {
 func (g *Staging) adoptLocal(src string, si SegmentInfo, origin string) error {
 	tmp := filepath.Join(g.dir, si.Name+".reuse")
 	os.Remove(tmp)
-	if err := linkOrCopy(src, tmp); err != nil {
+	if err := g.st.linkOrCopy(src, tmp); err != nil {
 		return err
 	}
 	data, err := os.ReadFile(tmp)
+	if err == nil {
+		err = CheckSegment(data, si)
+	}
 	if err != nil {
 		os.Remove(tmp)
 		return err
-	}
-	if int64(len(data)) != si.Bytes || segmentDigest(data) != si.SHA256 {
-		os.Remove(tmp)
-		return fmt.Errorf("%w: local copy of %s failed re-verification", ErrVerify, si.Name)
 	}
 	return g.promote(tmp, si, origin)
 }
@@ -424,25 +416,30 @@ func (g *Staging) promote(from string, si SegmentInfo, origin string) error {
 	return nil
 }
 
-// linkOrCopy hard-links src to dst, falling back to a byte copy where
-// links are unsupported. Segments are immutable once committed (repair
-// replaces by rename, never in place), so shared inodes are safe.
-func linkOrCopy(src, dst string) error {
+// linkOrCopy hard-links src to dst, falling back to a durable byte
+// copy where links are unsupported (e.g. across filesystems). Segments
+// are immutable once committed (repair replaces by rename, never in
+// place), so shared inodes are safe.
+func (s *Store) linkOrCopy(src, dst string) error {
 	if err := os.Link(src, dst); err == nil {
 		return nil
 	}
+	return s.copyFile(src, dst)
+}
+
+// copyFile copies src to dst and fsyncs the copy: callers journal it
+// as verified or commit it after only a directory sync, so its bytes
+// must already be on disk.
+func (s *Store) copyFile(src, dst string) error {
 	data, err := os.ReadFile(src)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(dst, data, 0o644)
+	return s.writeFileSync(dst, data)
 }
 
 // Info returns the staged generation's description.
 func (g *Staging) Info() GenInfo { return g.m.info() }
-
-// ManifestBytes returns the manifest this staging area was opened for.
-func (g *Staging) ManifestBytes() []byte { return g.manifestBytes }
 
 // Origin reports where one verified segment's bytes came from:
 // "fetched" (completed from a partial this staging wrote), "resumed"
@@ -542,11 +539,11 @@ func (g *Staging) closeWriter() {
 	}
 }
 
-// CompleteSegment runs one segment's verification ladder over its
-// partial file: fsync, exact size, whole-file SHA-256 — and only then
-// promotes it to its final name and journals it. A partial that fails
-// verification is deleted (resume must never trust it) and the error
-// wraps ErrVerify so the caller re-fetches from byte zero.
+// CompleteSegment fsyncs one segment's partial file and holds it to
+// CheckSegment — and only then promotes it to its final name and
+// journals it. A partial that fails is deleted (resume must never
+// trust it) and the error wraps ErrVerify so the caller re-fetches
+// from byte zero.
 func (g *Staging) CompleteSegment(si SegmentInfo) error {
 	if g.verified[si.Name] {
 		return nil
@@ -566,14 +563,9 @@ func (g *Staging) CompleteSegment(si SegmentInfo) error {
 	if err != nil {
 		return fmt.Errorf("store: reading partial %s: %w", si.Name, err)
 	}
-	if int64(len(data)) != si.Bytes {
+	if err := CheckSegment(data, si); err != nil {
 		os.Remove(path)
-		return fmt.Errorf("%w: segment %s is %d bytes, manifest says %d",
-			ErrVerify, si.Name, len(data), si.Bytes)
-	}
-	if got := segmentDigest(data); got != si.SHA256 {
-		os.Remove(path)
-		return fmt.Errorf("%w: segment %s SHA-256 mismatch", ErrVerify, si.Name)
+		return err
 	}
 	return g.promote(path, si, "fetched")
 }
@@ -603,12 +595,13 @@ func (g *Staging) Close() {
 	}
 }
 
-// InstallStaged commits a fully staged generation: every manifest
-// segment must be verified, the assembled set is deep-verified exactly
-// like Fsck (rebuilding the database the caller publishes), and the
-// commit uses Save's protocol — segment dir rename, then manifest write
-// + atomic rename, both fsynced. On success the staging area is
-// removed; on any failure it is left intact for resume.
+// InstallStaged is the only way a shipped generation is committed:
+// every manifest segment must be verified, the assembled set is
+// deep-verified exactly like Fsck (rebuilding the database the caller
+// publishes), and the commit uses Save's protocol — segment dir
+// rename, then manifest write + atomic rename, both fsynced. On
+// success the staging area is removed; on any failure it is left
+// intact for resume.
 func (s *Store) InstallStaged(g *Staging) (*GenInfo, *uls.Database, error) {
 	if missing := g.Missing(); len(missing) > 0 {
 		return nil, nil, fmt.Errorf("store: staging for generation %d is incomplete: %d segment(s) unverified",
@@ -627,18 +620,20 @@ func (s *Store) InstallStaged(g *Staging) (*GenInfo, *uls.Database, error) {
 	// Assemble the generation directory from the staged segments by
 	// hard link (copy fallback): the staging area keeps its files until
 	// the commit lands, so a crash mid-assembly costs nothing.
-	tmpDir := filepath.Join(s.dir, "tmp-"+genDirName(g.m.Generation))
+	id := g.m.Generation
+	tmpDir := filepath.Join(s.dir, "tmp-"+genDirName(id))
+	final := filepath.Join(s.dir, manifestName(id))
 	os.RemoveAll(tmpDir)
 	if err := os.Mkdir(tmpDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: creating temp dir: %w", err)
 	}
 	fail := func(err error) (*GenInfo, *uls.Database, error) {
 		os.RemoveAll(tmpDir)
-		os.Remove(filepath.Join(s.dir, manifestName(g.m.Generation)+".tmp"))
+		os.Remove(final + ".tmp")
 		return nil, nil, err
 	}
 	for _, si := range g.m.Segments {
-		if err := linkOrCopy(filepath.Join(g.dir, si.Name), filepath.Join(tmpDir, si.Name)); err != nil {
+		if err := s.linkOrCopy(filepath.Join(g.dir, si.Name), filepath.Join(tmpDir, si.Name)); err != nil {
 			return fail(fmt.Errorf("store: assembling staged generation: %w", err))
 		}
 	}
@@ -649,17 +644,33 @@ func (s *Store) InstallStaged(g *Staging) (*GenInfo, *uls.Database, error) {
 	if err != nil {
 		return fail(fmt.Errorf("%w: %v", ErrVerify, err))
 	}
-	gi, err := s.commitGeneration(g.m, g.manifestBytes, tmpDir)
-	if err != nil {
+
+	// Commit: rename the segment dir into place, then write and
+	// atomically rename the manifest, each made durable with a
+	// directory sync.
+	if err := os.Rename(tmpDir, filepath.Join(s.dir, genDirName(id))); err != nil {
+		return fail(fmt.Errorf("store: publishing segment dir: %w", err))
+	}
+	if err := syncDir(s.dir); err != nil {
+		return fail(fmt.Errorf("store: syncing %s: %w", s.dir, err))
+	}
+	if err := s.writeFileSync(final+".tmp", g.manifestBytes); err != nil {
 		return fail(err)
 	}
+	if err := os.Rename(final+".tmp", final); err != nil {
+		return fail(fmt.Errorf("store: committing manifest: %w", err))
+	}
+	if err := syncDir(s.dir); err != nil {
+		return fail(fmt.Errorf("store: syncing %s: %w", s.dir, err))
+	}
+	gi := g.m.info()
 
 	g.Close()
 	os.RemoveAll(g.dir)
 	// Removing the last staging area leaves an empty staging/ root;
 	// harmless, but tidy stores are easier to reason about.
 	os.Remove(filepath.Join(s.dir, stagingRootName))
-	return gi, db, nil
+	return &gi, db, nil
 }
 
 // localSegmentIndexLocked maps "sha256/bytes" of every segment in every

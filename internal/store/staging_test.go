@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"hftnetview/internal/uls"
 )
 
 // fetchLog records every simulated wire fetch a staged pull performs:
@@ -17,6 +20,9 @@ import (
 // exactly its surviving size.
 type fetchLog struct {
 	entries []fetchEntry
+	// corrupt, when set, rewrites a segment's bytes in flight: the
+	// wire faults a staged pull must reject.
+	corrupt func(name string, data []byte) []byte
 }
 
 type fetchEntry struct {
@@ -38,16 +44,32 @@ func (l *fetchLog) fetchesOf(name string) []fetchEntry {
 	return out
 }
 
+// shippedSegment reads one committed segment the way the fleet's
+// Shipper streams it: resolve it through SegmentHandle, then open the
+// path. A file swept by GC between the two is the retryable
+// ErrGenGone the Shipper answers with 404 + X-Gen-Gone.
+func shippedSegment(src *Store, id int64, name string) ([]byte, error) {
+	path, _, _, err := src.SegmentHandle(id, name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("%w: %v", ErrGenGone, err)
+	}
+	return data, err
+}
+
 // stagedPull drives one staging area the way the fleet puller does —
 // resume partials, fetch missing ranges in chunks, verify, install —
 // against a local source store standing in for the wire. Any error
 // (including an injected crash) aborts mid-flight exactly like a kill,
 // leaving the staging area as-is.
-func stagedPull(t *testing.T, dst, src *Store, srcID int64, mb []byte, log *fetchLog) error {
+func stagedPull(t testing.TB, dst, src *Store, srcID int64, mb []byte, log *fetchLog) (*GenInfo, *uls.Database, error) {
 	t.Helper()
 	stg, err := dst.OpenStaging(mb)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer stg.Close()
 	const chunk = 8 << 10
@@ -55,19 +77,22 @@ func stagedPull(t *testing.T, dst, src *Store, srcID int64, mb []byte, log *fetc
 		off := stg.PartialSize(si.Name)
 		if off > si.Bytes {
 			if err := stg.ResetPartial(si.Name); err != nil {
-				return err
+				return nil, nil, err
 			}
 			off = 0
 		}
 		if off < si.Bytes {
-			data, err := src.ReadSegmentRaw(srcID, si.Name)
+			data, err := shippedSegment(src, srcID, si.Name)
 			if err != nil {
-				return err
+				return nil, nil, err
+			}
+			if log.corrupt != nil {
+				data = log.corrupt(si.Name, data)
 			}
 			log.add(si.Name, off)
 			w, werr := stg.SegmentWriter(si)
 			if werr != nil {
-				return werr
+				return nil, nil, werr
 			}
 			werr = func() error {
 				for pos := off; pos < int64(len(data)); pos += chunk {
@@ -80,15 +105,14 @@ func stagedPull(t *testing.T, dst, src *Store, srcID int64, mb []byte, log *fetc
 			}()
 			w.Close()
 			if werr != nil {
-				return werr
+				return nil, nil, werr
 			}
 		}
 		if err := stg.CompleteSegment(si); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
-	_, _, err = dst.InstallStaged(stg)
-	return err
+	return dst.InstallStaged(stg)
 }
 
 // crashBudget arms every staging failpoint with a shared countdown:
@@ -154,7 +178,7 @@ func TestStagingCrashRecovery(t *testing.T) {
 			dst := open(t, t.TempDir(), WithStagingFailpoints(budget.points()))
 			log := &fetchLog{}
 
-			err := stagedPull(t, dst, src, gi.ID, mb, log)
+			_, _, err := stagedPull(t, dst, src, gi.ID, mb, log)
 			crashed := errors.Is(err, ErrFailpoint)
 			if err != nil && !crashed {
 				t.Fatalf("first pull failed outside the injected crash: %v", err)
@@ -185,7 +209,7 @@ func TestStagingCrashRecovery(t *testing.T) {
 				}
 
 				mark := len(log.entries)
-				if rerr := stagedPull(t, dst, src, gi.ID, mb, log); rerr != nil {
+				if _, _, rerr := stagedPull(t, dst, src, gi.ID, mb, log); rerr != nil {
 					t.Fatalf("resume pull: %v", rerr)
 				}
 				for _, e := range log.entries[mark:] {
@@ -258,7 +282,7 @@ func TestStagingPoisonedPartialNeverTrusted(t *testing.T) {
 	// reject the assembled segment, because the surviving prefix never
 	// re-earned trust.
 	log := &fetchLog{}
-	err = stagedPull(t, dst, src, gi.ID, mb, log)
+	_, _, err = stagedPull(t, dst, src, gi.ID, mb, log)
 	if !errors.Is(err, ErrVerify) {
 		t.Fatalf("pull over a poisoned partial = %v, want ErrVerify", err)
 	}
@@ -272,7 +296,7 @@ func TestStagingPoisonedPartialNeverTrusted(t *testing.T) {
 	}
 
 	// Next pull starts the segment from zero and converges.
-	if err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
+	if _, _, err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
 		t.Fatalf("clean retry: %v", err)
 	}
 	if fs := log.fetchesOf(si.Name); fs[len(fs)-1].off != 0 {
@@ -305,7 +329,7 @@ func TestStagingDeltaReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &fetchLog{}
-	if err := stagedPull(t, dst, src, 1, mb1, log); err != nil {
+	if _, _, err := stagedPull(t, dst, src, 1, mb1, log); err != nil {
 		t.Fatal(err)
 	}
 	wireFetches := len(log.entries)
@@ -367,7 +391,7 @@ func TestStagingAbandonOnDigestChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := giA.Segments[0]
-	data, _ := srcA.ReadSegmentRaw(giA.ID, si.Name)
+	data, _ := shippedSegment(srcA, giA.ID, si.Name)
 	w, _ := stg.SegmentWriter(si)
 	w.Write(data)
 	w.Close()
@@ -399,7 +423,10 @@ func TestStagingAbandonOnDigestChange(t *testing.T) {
 			// Harvested: must still be byte-correct — InstallStaged
 			// would deep-verify anyway, but check the digest path now.
 			got, rerr := os.ReadFile(filepath.Join(dst.Dir(), stagingRootName, stagingDirName(giA.ID), name))
-			if rerr != nil || segmentDigest(got) != si.SHA256 {
+			if rerr == nil {
+				rerr = CheckSegment(got, si)
+			}
+			if rerr != nil {
 				t.Fatalf("harvested segment fails re-verification: %v", rerr)
 			}
 		}
@@ -425,7 +452,7 @@ func TestStagingJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := gi.Segments[0]
-	data, _ := src.ReadSegmentRaw(gi.ID, si.Name)
+	data, _ := shippedSegment(src, gi.ID, si.Name)
 	w, _ := stg.SegmentWriter(si)
 	w.Write(data)
 	w.Close()
@@ -444,7 +471,7 @@ func TestStagingJournalTornTail(t *testing.T) {
 	f.Close()
 
 	log := &fetchLog{}
-	if err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
+	if _, _, err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
 		t.Fatalf("resume over torn journal: %v", err)
 	}
 	if fs := log.fetchesOf(si.Name); len(fs) != 0 {
@@ -484,6 +511,62 @@ func TestParseJournal(t *testing.T) {
 	}
 }
 
+// FuzzParseJournal: parseJournal never panics, every entry it returns
+// re-encodes with appendJournalLine and parses back equal, and any byte
+// prefix of that journal — the shape a crash mid-append leaves —
+// parses to a prefix of its entries.
+func FuzzParseJournal(f *testing.F) {
+	_, journal := fuzzSeeds(f)
+	f.Add(journal)
+	f.Add(journal[:len(journal)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries := parseJournal(data)
+		var buf bytes.Buffer
+		for _, e := range entries {
+			if err := appendJournalLine(&buf, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reenc := buf.Bytes()
+		if got := parseJournal(reenc); !slices.Equal(got, entries) {
+			t.Fatalf("re-encoded journal parses to %+v, want %+v", got, entries)
+		}
+		for n := range len(reenc) {
+			got := parseJournal(reenc[:n])
+			if len(got) > len(entries) || !slices.Equal(got, entries[:len(got)]) {
+				t.Fatalf("%d-byte prefix parses to %+v, not a prefix of %+v", n, got, entries)
+			}
+		}
+	})
+}
+
+// TestCopyFallbackFsyncs: the byte copy linkOrCopy falls back to where
+// hard links fail (e.g. across filesystems) is fsynced like every other
+// staged write — adoptLocal journals it as verified and InstallStaged
+// commits it after only a directory sync.
+func TestCopyFallbackFsyncs(t *testing.T) {
+	dir := t.TempDir()
+	src, dst := filepath.Join(dir, "src.dat"), filepath.Join(dir, "dst.dat")
+	want := []byte("HFTSEG1\nsegment bytes")
+	if err := os.WriteFile(src, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var synced []string
+	s := open(t, t.TempDir(), WithFailpoints(Failpoints{BeforeFsync: func(path string) error {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("before fsync, %s holds %q (err %v), want the source's bytes", path, got, err)
+		}
+		synced = append(synced, path)
+		return nil
+	}}))
+	if err := s.copyFile(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != dst {
+		t.Fatalf("fsynced %v, want exactly the copy %s", synced, dst)
+	}
+}
+
 // TestStagingGCSweep: a staging area whose generation has since been
 // committed is garbage and GC removes it; an in-flight (uncommitted)
 // one survives.
@@ -499,10 +582,9 @@ func TestStagingGCSweep(t *testing.T) {
 	}
 
 	dst := open(t, t.TempDir())
-	// Install gen 1 the classic way, then open (and abandon) staging
-	// progress for gen 2.
+	// Install gen 1, then open (and abandon) staging progress for gen 2.
 	mb1, _, _ := src.ExportManifest(1)
-	if _, _, err := dst.Install(mb1, shipFetch(src, 1)); err != nil {
+	if _, _, err := stagedPull(t, dst, src, 1, mb1, &fetchLog{}); err != nil {
 		t.Fatal(err)
 	}
 	mb2, _, _ := src.ExportManifest(gi2.ID)
@@ -546,7 +628,7 @@ func TestStagingGCSweep(t *testing.T) {
 }
 
 // TestOpenStagingRefusesCommitted: a generation this store already
-// holds is os.ErrExist, mirroring Install's idempotence contract.
+// holds is os.ErrExist, mirroring InstallStaged's idempotence contract.
 func TestOpenStagingRefusesCommitted(t *testing.T) {
 	db := corpus(t)
 	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
@@ -556,7 +638,7 @@ func TestOpenStagingRefusesCommitted(t *testing.T) {
 	}
 	mb, _, _ := src.ExportManifest(gi.ID)
 	dst := open(t, t.TempDir())
-	if _, _, err := dst.Install(mb, shipFetch(src, gi.ID)); err != nil {
+	if _, _, err := stagedPull(t, dst, src, gi.ID, mb, &fetchLog{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.OpenStaging(mb); !errors.Is(err, os.ErrExist) {

@@ -411,14 +411,10 @@ func (s *Store) save(db *uls.Database, source string, id int64, tmpDir string) (
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	sum := sha256.Sum256(body)
-	body = append(body, '\n')
-	body = append(body, hex.EncodeToString(sum[:])...)
-	body = append(body, '\n')
 
 	final := filepath.Join(s.dir, manifestName(id))
 	tmp := final + ".tmp"
-	if err := s.writeFileSync(tmp, body); err != nil {
+	if err := s.writeFileSync(tmp, sealManifest(body)); err != nil {
 		return nil, err
 	}
 	if s.fp.MidRename != nil {
@@ -488,9 +484,18 @@ func (s *Store) loadManifest(id int64) (*manifest, error) {
 	return m, nil
 }
 
+// sealManifest frames a manifest's JSON body as it is written and
+// shipped: the body line, then the hex SHA-256 of that line.
+func sealManifest(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return fmt.Appendf(nil, "%s\n%s\n", body, hex.EncodeToString(sum[:]))
+}
+
 // parseManifestBytes self-verifies and decodes one manifest's raw bytes
 // (the exact content of a MANIFEST-*.json file — also the generation
-// shipping wire format).
+// shipping wire format). It is the one place a manifest's shape is
+// checked: a positive generation id, and only segment names Save can
+// write, so no consumer ever joins an untrusted name onto a path.
 func parseManifestBytes(data []byte) (*manifest, error) {
 	line, rest, ok := strings.Cut(string(data), "\n")
 	if !ok {
@@ -509,6 +514,14 @@ func parseManifestBytes(data []byte) (*manifest, error) {
 	}
 	if m.Codec != codecVersion {
 		return nil, fmt.Errorf("codec version %d (this binary reads %d)", m.Codec, codecVersion)
+	}
+	if m.Generation <= 0 {
+		return nil, fmt.Errorf("manifest names generation %d", m.Generation)
+	}
+	for _, si := range m.Segments {
+		if !segNameRE.MatchString(si.Name) {
+			return nil, fmt.Errorf("manifest names segment %q", si.Name)
+		}
 	}
 	return &m, nil
 }
