@@ -128,10 +128,14 @@ cover:
 # it holds on any runner; absolute numbers are recorded in
 # BENCH_*.json. Snapshot hit (E18): a warm memo hit allocates at most
 # once (the header carrying the requested date), without the race
-# detector, whose instrumentation allocates on its own.
+# detector, whose instrumentation allocates on its own. Union budget
+# (E13): the complementary-pair analysis builds a union only for loner
+# pairs that share a tower site, at most 1 in 20 loner pairs at the
+# paper date (a deterministic count, 7 of 903).
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
 	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
+	$(GO) test -run 'TestComplementaryPairsUnionBudget' -v ./internal/entity/
 
 # Short fuzz pass over the bulk parsers and the two parsers the store's
 # single install path trusts. The lenient reader must never panic, must

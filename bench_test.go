@@ -195,7 +195,8 @@ func BenchmarkOverheadSweep(b *testing.B) {
 }
 
 // BenchmarkEntityResolution runs the §2.4/§6 joint-entity analysis
-// (E13), dominated by the O(pairs) union reconstructions.
+// (E13) on a cold engine: the per-licensee screen plus the union
+// reconstructions of the few loner pairs that share a tower site.
 func BenchmarkEntityResolution(b *testing.B) {
 	db := corpus(b)
 	b.ResetTimer()

@@ -492,6 +492,15 @@ func TestNetworkFromFileErrors(t *testing.T) {
 	if _, err := NetworkFromFile(nf, sites.All, DefaultOptions()); err == nil {
 		t.Error("dangling link accepted")
 	}
+	for _, pt := range []geo.Point{{Lat: 1e300, Lon: -80}, {Lat: 41, Lon: math.Inf(-1)}, {Lat: math.NaN(), Lon: -80}} {
+		nf = &NetworkFile{Licensee: "X", Date: "04/01/2020",
+			Towers: []TowerRecord{{ID: 0, Point: geo.Point{Lat: 41, Lon: -80}}, {ID: 1, Point: pt}},
+			Links:  []LinkRecord{{From: 0, To: 1}},
+		}
+		if _, err := NetworkFromFile(nf, sites.All, DefaultOptions()); err == nil {
+			t.Errorf("tower at %v accepted", pt)
+		}
+	}
 }
 
 func TestParseNetworkYAMLErrors(t *testing.T) {
@@ -515,10 +524,21 @@ func TestReconstructInvalidOptions(t *testing.T) {
 		{},
 		{TowerMergeDecimals: 4, MaxFiberMeters: 50e3, StretchBound: 1.0},
 		{TowerMergeDecimals: 0, MaxFiberMeters: 50e3, StretchBound: 1.05},
+		// Past 9 decimals a site cell may not fit an int64.
+		{TowerMergeDecimals: 10, MaxFiberMeters: 50e3, StretchBound: 1.05},
 	} {
 		if _, err := Reconstruct(db, "X", date20, sites.All, opts); err == nil {
 			t.Errorf("Reconstruct accepted invalid options %+v", opts)
 		}
+		nf := &NetworkFile{Licensee: "X", Date: "04/01/2020"}
+		if _, err := NetworkFromFile(nf, sites.All, opts); err == nil {
+			t.Errorf("NetworkFromFile accepted invalid options %+v", opts)
+		}
+	}
+	opts := DefaultOptions()
+	opts.TowerMergeDecimals = 9
+	if _, err := Reconstruct(db, "X", date20, sites.All, opts); err != nil {
+		t.Errorf("Reconstruct rejected 9 tower-merge decimals: %v", err)
 	}
 }
 

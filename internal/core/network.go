@@ -42,6 +42,20 @@ type Options struct {
 	StretchBound float64
 }
 
+// maxTowerMergeDecimals bounds Options.TowerMergeDecimals. At 9
+// decimals a valid coordinate's site cell (|x| ≤ 180, see cellOf) is
+// below 2^38, so it fits an int64 and renders exactly.
+const maxTowerMergeDecimals = 9
+
+// validate rejects options reconstruction cannot honor.
+func (o Options) validate() error {
+	if o.TowerMergeDecimals <= 0 || o.TowerMergeDecimals > maxTowerMergeDecimals ||
+		o.MaxFiberMeters <= 0 || o.StretchBound <= 1 {
+		return fmt.Errorf("core: invalid options %+v", o)
+	}
+	return nil
+}
+
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
 	return Options{
@@ -161,25 +175,53 @@ func (n *Network) answers(path sites.Path) *pathAnswers {
 	return a
 }
 
-// towerKey canonicalizes a coordinate for tower deduplication. The
+// towerCell is a site cell: a coordinate quantized onto the
+// 10^-decimals grid. Stitching merges two filed locations into one
+// tower iff their cells are equal.
+type towerCell struct{ lat, lon int64 }
+
+// pow10 holds 10^d for d ≤ maxTowerMergeDecimals.
+var pow10 = [maxTowerMergeDecimals + 1]int64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// cellOf quantizes p onto the grid of the given decimals. The
 // quantization is floor(x·scale + 0.5): round-half-up is translation
 // invariant, so a tower on a cell boundary and one just east of it land
 // in the same cell in both hemispheres. (math.Round's half-away-from-zero
 // would put the boundary point in the western cell for negative
 // longitudes — the corridor's — but the eastern cell for positive ones,
-// silently splitting co-located towers depending on sign.) Formatting
-// from the integer cell also avoids a distinct "-0.0000" key.
-func towerKey(p geo.Point, decimals int) string {
-	scale := math.Pow(10, float64(decimals))
-	lat := math.Floor(p.Lat*scale+0.5) / scale
-	lon := math.Floor(p.Lon*scale+0.5) / scale
-	if lat == 0 {
-		lat = 0 // normalize -0
+// silently splitting co-located towers depending on sign.) An integer
+// cell has no -0, so there is no distinct "-0.0000" key either.
+func cellOf(p geo.Point, decimals int) towerCell {
+	scale := float64(pow10[decimals])
+	return towerCell{
+		lat: int64(math.Floor(p.Lat*scale + 0.5)),
+		lon: int64(math.Floor(p.Lon*scale + 0.5)),
 	}
-	if lon == 0 {
-		lon = 0
+}
+
+// appendKey appends the cell's canonical "lat,lon" key, each coordinate
+// with exactly decimals fraction digits: byte for byte what %.*f prints
+// for cell/10^decimals, without fmt's float formatting.
+func (c towerCell) appendKey(b []byte, decimals int) []byte {
+	b = appendFixed(b, c.lat, decimals)
+	b = append(b, ',')
+	return appendFixed(b, c.lon, decimals)
+}
+
+// appendFixed appends v/10^decimals in fixed-point notation.
+func appendFixed(b []byte, v int64, decimals int) []byte {
+	if v < 0 {
+		b = append(b, '-')
+		v = -v
 	}
-	return fmt.Sprintf("%.*f,%.*f", decimals, lat, decimals, lon)
+	p := pow10[decimals]
+	b = strconv.AppendInt(b, v/p, 10)
+	// p + v%p is a '1' followed by the zero-padded fraction digits; the
+	// '1' becomes the decimal point.
+	dot := len(b)
+	b = strconv.AppendInt(b, p+v%p, 10)
+	b[dot] = '.'
+	return b
 }
 
 // Reconstruct rebuilds the named licensee's network as of the given date
@@ -234,8 +276,8 @@ func ReconstructActive(active []*uls.License, label string, date uls.Date, dcs [
 }
 
 func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites.DataCenter, opts Options) (*Network, error) {
-	if opts.TowerMergeDecimals <= 0 || opts.MaxFiberMeters <= 0 || opts.StretchBound <= 1 {
-		return nil, fmt.Errorf("core: invalid options %+v", opts)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	n := &Network{
 		Licensee:  label,
@@ -257,23 +299,30 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 		return links[i].PathNumber < links[j].PathNumber
 	})
 
-	towerIdx := make(map[string]int)
+	// Towers are deduplicated on their integer site cell; the string key
+	// is rendered once per distinct tower, as the suffix of its graph
+	// node name.
+	const nodePrefix = "tower:"
+	towerIdx := make(map[towerCell]int)
+	var nodeBuf []byte
 	ensureTower := func(loc uls.Location) int {
-		key := towerKey(loc.Point, opts.TowerMergeDecimals)
-		if i, ok := towerIdx[key]; ok {
+		cell := cellOf(loc.Point, opts.TowerMergeDecimals)
+		if i, ok := towerIdx[cell]; ok {
 			if loc.SupportHeight > n.Towers[i].HeightMeters {
 				n.Towers[i].HeightMeters = loc.SupportHeight
 			}
 			return i
 		}
 		i := len(n.Towers)
-		towerIdx[key] = i
+		towerIdx[cell] = i
+		nodeBuf = cell.appendKey(append(nodeBuf[:0], nodePrefix...), opts.TowerMergeDecimals)
+		node := string(nodeBuf)
 		n.Towers = append(n.Towers, Tower{
-			Key:          key,
+			Key:          node[len(nodePrefix):],
 			Point:        loc.Point,
 			HeightMeters: loc.SupportHeight,
 		})
-		id := n.g.EnsureNode("tower:" + key)
+		id := n.g.EnsureNode(node)
 		n.towerID = append(n.towerID, id)
 		n.nodeTower[id] = i
 		return i

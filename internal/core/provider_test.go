@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -49,6 +52,68 @@ func TestTowerKeyNoNegativeZero(t *testing.T) {
 	}
 	if neg != "0.0000,0.0000" {
 		t.Errorf("zero-cell key = %q, want 0.0000,0.0000", neg)
+	}
+}
+
+// towerKey is the Tower.Key that stitching gives a tower at p.
+func towerKey(p geo.Point, decimals int) string {
+	return string(cellOf(p, decimals).appendKey(nil, decimals))
+}
+
+// sprintfTowerKey is the fmt-based tower key that integer site cells
+// replaced, kept as the reference towerKey must match byte for byte.
+func sprintfTowerKey(p geo.Point, decimals int) string {
+	scale := math.Pow(10, float64(decimals))
+	lat := math.Floor(p.Lat*scale+0.5) / scale
+	lon := math.Floor(p.Lon*scale+0.5) / scale
+	if lat == 0 {
+		lat = 0 // normalize -0
+	}
+	if lon == 0 {
+		lon = 0
+	}
+	return fmt.Sprintf("%.*f,%.*f", decimals, lat, decimals, lon)
+}
+
+// TestTowerKeyMatchesSprintf: over 1M+ random points at every legal
+// decimals setting, towerKey renders exactly the reference key. The
+// points cover both hemispheres, ±0.001° around zero (where a cell's
+// sign and a zero-padded fraction matter), exact half-cell boundaries,
+// and the range limits.
+func TestTowerKeyMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	check := func(p geo.Point, d int) {
+		t.Helper()
+		if got, want := towerKey(p, d), sprintfTowerKey(p, d); got != want {
+			t.Fatalf("towerKey(%v, %d) = %q, want %q", p, d, got, want)
+		}
+	}
+	for d := 1; d <= maxTowerMergeDecimals; d++ {
+		for _, lat := range []float64{-90, 0, 90} {
+			for _, lon := range []float64{-180, 0, 180} {
+				check(geo.Point{Lat: lat, Lon: lon}, d)
+			}
+		}
+	}
+	const n = 1 << 20
+	for i := 0; i < n; i++ {
+		d := 1 + (i/3)%maxTowerMergeDecimals // every case at every d
+		var p geo.Point
+		switch i % 3 {
+		case 0:
+			p = geo.Point{Lat: uniform(-90, 90), Lon: uniform(-180, 180)}
+		case 1:
+			p = geo.Point{Lat: uniform(-0.001, 0.001), Lon: uniform(-0.001, 0.001)}
+		case 2:
+			// Half-cell boundaries, where floor(x·scale + 0.5) steps.
+			half := func(limit float64) float64 {
+				scale := math.Pow(10, float64(d))
+				return (math.Floor(uniform(-limit, limit)*scale) + 0.5) / scale
+			}
+			p = geo.Point{Lat: half(90), Lon: half(180)}
+		}
+		check(p, d)
 	}
 }
 

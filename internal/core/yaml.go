@@ -176,12 +176,19 @@ func ParseNetworkYAML(data []byte) (*NetworkFile, error) {
 // latencies are recomputed from the tower coordinates (the file's
 // rounded lengths are informational).
 func NetworkFromFile(nf *NetworkFile, dcs []sites.DataCenter, opts Options) (*Network, error) {
-	if opts.TowerMergeDecimals <= 0 || opts.MaxFiberMeters <= 0 || opts.StretchBound <= 1 {
-		return nil, fmt.Errorf("core: invalid options %+v", opts)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	date, err := uls.ParseDate(nf.Date)
 	if err != nil {
 		return nil, fmt.Errorf("core: network file date: %w", err)
+	}
+	// Only an in-range coordinate has a site cell that fits an int64
+	// (see maxTowerMergeDecimals).
+	for i, tr := range nf.Towers {
+		if !tr.Point.Valid() {
+			return nil, fmt.Errorf("core: tower %d has invalid coordinates %v", i, tr.Point)
+		}
 	}
 	links := make([]uls.Link, 0, len(nf.Links))
 	for _, lr := range nf.Links {

@@ -11,6 +11,7 @@
 package entity
 
 import (
+	"slices"
 	"sort"
 
 	"hftnetview/internal/core"
@@ -95,30 +96,54 @@ type Pair struct {
 }
 
 // ComplementaryPairs tests every pair among candidates (nil = every
-// licensee in the database): pairs where neither member has an
-// end-to-end route on the path at the date, but their union does.
-// Pairs are returned sorted by (A, B); within a pair A < B. It is the
-// one-shot form of ComplementaryPairsVia over an uncached provider.
+// licensee in the database; repeated names count once): pairs where
+// neither member has an end-to-end route on the path at the date, but
+// their union does. Pairs are returned sorted by (A, B); within a pair
+// A < B. It is the one-shot form of ComplementaryPairsVia over an
+// uncached provider.
 func ComplementaryPairs(db *uls.Database, date uls.Date, path sites.Path,
 	candidates []string, opts core.Options) ([]Pair, error) {
 	return ComplementaryPairsVia(core.DirectProvider(db), date, path, candidates, opts)
 }
 
 // ComplementaryPairsVia is ComplementaryPairs over a SnapshotProvider.
-// The O(n) per-licensee screens and the O(n²) union reconstructions are
-// both resolved as provider batches, so the snapshot engine fans them
-// out and reuses any snapshots other analyses already built.
+// The per-licensee screen and the union reconstructions are both
+// resolved as provider batches, so the snapshot engine fans them out and
+// reuses any snapshots other analyses already built. candidates is
+// never modified.
+//
+// A loner is a candidate with links but no end-to-end route alone. Only
+// loner pairs that share a tower site (an equal Tower.Key) are
+// reconstructed as unions; the others provably cannot connect, so the
+// result is exactly that of testing every pair:
+//
+//   - Stitching merges towers only by site cell. The union of two
+//     site-disjoint loners A and B is therefore two parts, A's towers
+//     and links and B's, that touch only at the data-center nodes, and
+//     a route from one data center to the other (a simple path) stays
+//     inside one part, say A's.
+//   - The route's links are A's own links. Its fiber tails are tails of
+//     A alone too: tails go to the nearest towers first, ties to the
+//     lower tower index, and A's towers keep their relative order in
+//     the union because links are stitched in call-sign order — so a
+//     tower among a data center's k nearest in the union is among its
+//     k nearest in A alone, at the same distance.
+//   - So the route already exists in A's own network, which contradicts
+//     A being a loner.
 func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Path,
 	candidates []string, opts core.Options) ([]Pair, error) {
 	if candidates == nil {
 		candidates = p.DB().Licensees()
 	}
+	// A sorted, duplicate-free copy: the nil default is the database's
+	// shared name list, which must not be sorted in place either.
+	names := slices.Compact(slices.Sorted(slices.Values(candidates)))
 	dcs := []sites.DataCenter{path.From, path.To}
 
 	// Screen per-licensee connectivity; connected licensees cannot be
 	// part of a complementary pair (they are networks already).
-	reqs := make([]core.SnapshotRequest, len(candidates))
-	for i, name := range candidates {
+	reqs := make([]core.SnapshotRequest, len(names))
+	for i, name := range names {
 		reqs[i] = core.SnapshotRequest{
 			Licensees: []string{name}, Date: date, DCs: dcs, Opts: opts,
 		}
@@ -128,21 +153,36 @@ func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Pa
 		return nil, err
 	}
 	var loners []string
+	var lonerNets []*core.Network
+	bySite := make(map[string][]int) // Tower.Key -> loner indices
 	for i, n := range nets {
-		if !n.Connected(path) && len(n.Links) > 0 {
-			loners = append(loners, candidates[i])
+		if n.Connected(path) || len(n.Links) == 0 {
+			continue
 		}
+		for _, tw := range n.Towers {
+			bySite[tw.Key] = append(bySite[tw.Key], len(loners))
+		}
+		loners = append(loners, names[i])
+		lonerNets = append(lonerNets, n)
 	}
-	sort.Strings(loners)
 
-	type pairIdx struct{ a, b string }
-	var pairs []pairIdx
+	// Request unions only for loner pairs sharing a site, in (A, B)
+	// order.
 	var unionReqs []core.SnapshotRequest
-	for i := 0; i < len(loners); i++ {
-		for j := i + 1; j < len(loners); j++ {
-			pairs = append(pairs, pairIdx{loners[i], loners[j]})
+	shares := make([]bool, len(loners))
+	for a, n := range lonerNets {
+		clear(shares)
+		for _, tw := range n.Towers {
+			for _, b := range bySite[tw.Key] {
+				shares[b] = true
+			}
+		}
+		for b := a + 1; b < len(loners); b++ {
+			if !shares[b] {
+				continue
+			}
 			unionReqs = append(unionReqs, core.SnapshotRequest{
-				Licensees: []string{loners[i], loners[j]},
+				Licensees: []string{loners[a], loners[b]},
 				Date:      date, DCs: dcs, Opts: opts,
 			})
 		}
@@ -158,8 +198,9 @@ func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Pa
 		if !ok {
 			continue
 		}
+		pair := unionReqs[i].Licensees
 		out = append(out, Pair{
-			A: pairs[i].a, B: pairs[i].b,
+			A: pair[0], B: pair[1],
 			Latency:    r.Latency,
 			TowerCount: r.TowerCount,
 		})

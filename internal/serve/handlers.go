@@ -396,7 +396,6 @@ func (s *Server) handleAPA(w http.ResponseWriter, r *http.Request) {
 		LatencyMicros float64 `json:"latency_us"`
 	}
 	type pairRow struct {
-		A, B          string  `json:"-"`
 		Pair          string  `json:"pair"`
 		LatencyMicros float64 `json:"latency_us"`
 	}
