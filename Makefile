@@ -131,11 +131,16 @@ cover:
 # detector, whose instrumentation allocates on its own. Union budget
 # (E13): the complementary-pair analysis builds a union only for loner
 # pairs that share a tower site, at most 1 in 20 loner pairs at the
-# paper date (a deterministic count, 7 of 903).
+# paper date (a deterministic count, 7 of 903). Rebuild budget (E18): a
+# publish that changes one licensee carries every other licensee's
+# snapshots over, so re-reading the three paper-date tables rebuilds
+# exactly that licensee's 3 families (a deterministic count; 171
+# without the carry-over).
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
 	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
 	$(GO) test -run 'TestComplementaryPairsUnionBudget' -v ./internal/entity/
+	$(GO) test -run 'TestInheritRebuildBudget' -v ./internal/serve/
 
 # Short fuzz pass over the bulk parsers and the two parsers the store's
 # single install path trusts. The lenient reader must never panic, must
@@ -143,12 +148,16 @@ bench-gate:
 # reader would re-accept; the strict reader must round-trip whatever it
 # takes. A shipped manifest is only accepted with a positive generation
 # and segment names Save can write; the staging journal round-trips and
-# any torn prefix parses to a prefix of its entries. Cheap enough for ci.
+# any torn prefix parses to a prefix of its entries. The /v1 query
+# parameters never panic or 5xx the service, and every 200 names two
+# distinct data centers, no latency under the c-bound and APA in [0, 1].
+# Cheap enough for ci.
 fuzz-short:
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulkLenient' -fuzztime 10s
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulk$$' -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseManifest$$' -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseJournal$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzQueryParams$$' -fuzztime 5s
 
 # Full benchmark suite (E1–E17, ablations, engine, serving middleware,
 # full-pull vs delta-pull bytes-on-wire), machine-readable.

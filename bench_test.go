@@ -9,7 +9,6 @@ package hftnetview
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"net/http/httptest"
 	"sync"
@@ -384,7 +383,7 @@ func randomGraph(nodes, edges int, seed uint64) (*graph.Graph, graph.NodeID, gra
 	g := graph.New()
 	ids := make([]graph.NodeID, nodes)
 	for i := range ids {
-		ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+		ids[i] = g.AddNode()
 	}
 	// A ring guarantees connectivity; extra random edges add structure.
 	for i := 0; i < nodes; i++ {
@@ -467,8 +466,8 @@ func asymmetricBraid(cells int) (*graph.Graph, graph.NodeID, graph.NodeID) {
 	a := make([]graph.NodeID, cells+1)
 	bb := make([]graph.NodeID, cells+1)
 	for i := range a {
-		a[i] = g.EnsureNode(fmt.Sprintf("a%d", i))
-		bb[i] = g.EnsureNode(fmt.Sprintf("b%d", i))
+		a[i] = g.AddNode()
+		bb[i] = g.AddNode()
 		if _, err := g.AddEdge(a[i], bb[i], 0.02); err != nil {
 			panic(err)
 		}

@@ -10,9 +10,8 @@ import (
 // A pure chain yields exactly one route; Webline's braid yields many
 // within microseconds of each other.
 func (n *Network) DiverseRoutes(path sites.Path, k int) []Route {
-	src, okS := n.dcID[path.From.Code]
-	dst, okD := n.dcID[path.To.Code]
-	if !okS || !okD {
+	src, dst, ok := n.endpoints(path)
+	if !ok {
 		return nil
 	}
 	paths := n.g.KShortestPaths(src, dst, k)

@@ -18,6 +18,7 @@ func TestNetworkYAMLGolden(t *testing.T) {
 	db := uls.NewDatabase()
 	buildChainNetwork(t, db, "Golden Net", 5, grant15, uls.Date{}, 11245)
 	n := reconstructOrDie(t, db, "Golden Net", date20)
+	checkGraphIdentity(t, n)
 	got, err := n.ToYAML()
 	if err != nil {
 		t.Fatal(err)

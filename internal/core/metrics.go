@@ -35,8 +35,7 @@ func (n *Network) computeAPA(path sites.Path) (float64, bool) {
 	if !okSet || len(set.LinkIndexes) == 0 {
 		return 0, false
 	}
-	src := n.dcID[path.From.Code]
-	dst := n.dcID[path.To.Code]
+	src, dst, _ := n.endpoints(path)
 	bound := n.LatencyBound(path).Seconds()
 	inUniverse := make(map[int]bool, len(set.LinkIndexes))
 	for _, li := range set.LinkIndexes {
@@ -45,7 +44,7 @@ func (n *Network) computeAPA(path sites.Path) (float64, bool) {
 	results := n.g.EdgeRemovalAnalysisFast(src, dst, bound, nil)
 	total, within := 0, 0
 	for _, r := range results {
-		li, isMW := n.mwEdge[r.Edge]
+		li, isMW := n.linkOf(r.Edge)
 		if !isMW || !inUniverse[li] {
 			continue
 		}
@@ -84,10 +83,9 @@ type BoundedPathSet struct {
 // disjoint the link is missed; corridor geometries don't produce that
 // case.)
 func (n *Network) BoundedPaths(path sites.Path) (BoundedPathSet, bool) {
-	src, okS := n.dcID[path.From.Code]
-	dst, okD := n.dcID[path.To.Code]
+	src, dst, ok := n.endpoints(path)
 	set := BoundedPathSet{Path: path}
-	if !okS || !okD {
+	if !ok {
 		return set, false
 	}
 	bound := n.LatencyBound(path).Seconds()
@@ -136,13 +134,12 @@ func (n *Network) BoundedPaths(path sites.Path) (BoundedPathSet, bool) {
 		return true
 	}
 
-	for eid, li := range n.mwEdge {
-		e := n.g.Edge(eid)
+	for li := range n.Links {
+		e := n.g.Edge(graph.EdgeID(li))
 		if simpleVia(e.A, e.B, e.Weight) || simpleVia(e.B, e.A, e.Weight) {
 			set.LinkIndexes = append(set.LinkIndexes, li)
 		}
 	}
-	sort.Ints(set.LinkIndexes)
 	return set, true
 }
 

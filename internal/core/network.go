@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,6 +127,13 @@ type FiberTail struct {
 // its BestRoute and APA answers per path on first use; copies of the
 // Network header (the engine patches the requested date onto one) share
 // the memo with the original.
+//
+// A network owns its memory: its label and call signs are private
+// copies and its tower keys are rendered, so a memoized network never
+// pins the license database it was built from (a store-loaded
+// database's strings alias the generation's segment buffers), and the
+// snapshot engine can carry it across corpus generations. Its slices
+// are trimmed to size when reconstruction finishes.
 type Network struct {
 	Licensee string
 	Date     uls.Date
@@ -133,27 +141,31 @@ type Network struct {
 	Links    []Link
 	Fiber    []FiberTail
 
-	opts      Options
-	g         *graph.Graph
-	towerID   []graph.NodeID          // tower index -> graph node
-	nodeTower map[graph.NodeID]int    // graph node -> tower index
-	dcID      map[string]graph.NodeID // DC code -> graph node
-	mwEdge    map[graph.EdgeID]int    // graph edge -> Links index
-	fbEdge    map[graph.EdgeID]int    // graph edge -> Fiber index
-	memo      *pathMemo
+	opts Options
+	// g is the reconstruction graph, numbered after the slices: node i
+	// is Towers[i] for i < len(Towers), and node len(Towers)+k is the
+	// data center dcCodes[k]; edge i is Links[i] for i < len(Links),
+	// and edge len(Links)+j is Fiber[j].
+	g       *graph.Graph
+	dcCodes []string
+	memo    *pathMemo
 }
 
 // pathMemo holds a network's per-path answers. The answers depend only
 // on the network's links and the path, never on Network.Date, so every
-// header copy of a network shares one memo.
+// header copy of a network shares one memo. A network is read on a
+// handful of paths at most, so the answers sit in a short slice rather
+// than a map keyed by the 96-byte sites.Path.
 type pathMemo struct {
-	mu     sync.Mutex
-	byPath map[sites.Path]*pathAnswers
+	mu    sync.Mutex
+	paths []*pathAnswers
 }
 
 // pathAnswers is one path's memoized BestRoute and APA, each computed
 // at most once.
 type pathAnswers struct {
+	path sites.Path
+
 	routeOnce sync.Once
 	route     Route
 	routeOK   bool
@@ -167,11 +179,13 @@ type pathAnswers struct {
 func (n *Network) answers(path sites.Path) *pathAnswers {
 	n.memo.mu.Lock()
 	defer n.memo.mu.Unlock()
-	a, ok := n.memo.byPath[path]
-	if !ok {
-		a = &pathAnswers{}
-		n.memo.byPath[path] = a
+	for _, a := range n.memo.paths {
+		if a.path == path {
+			return a
+		}
 	}
+	a := &pathAnswers{path: path}
+	n.memo.paths = append(n.memo.paths, a)
 	return a
 }
 
@@ -280,15 +294,11 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 		return nil, err
 	}
 	n := &Network{
-		Licensee:  label,
-		Date:      date,
-		opts:      opts,
-		g:         graph.New(),
-		nodeTower: make(map[graph.NodeID]int),
-		dcID:      make(map[string]graph.NodeID),
-		mwEdge:    make(map[graph.EdgeID]int),
-		fbEdge:    make(map[graph.EdgeID]int),
-		memo:      &pathMemo{byPath: make(map[sites.Path]*pathAnswers)},
+		Licensee: strings.Clone(label),
+		Date:     date,
+		opts:     opts,
+		g:        graph.New(),
+		memo:     &pathMemo{},
 	}
 
 	// Deterministic order: by call sign then path number.
@@ -300,11 +310,9 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 	})
 
 	// Towers are deduplicated on their integer site cell; the string key
-	// is rendered once per distinct tower, as the suffix of its graph
-	// node name.
-	const nodePrefix = "tower:"
+	// is rendered once per distinct tower. Tower i is graph node i.
 	towerIdx := make(map[towerCell]int)
-	var nodeBuf []byte
+	var keyBuf []byte
 	ensureTower := func(loc uls.Location) int {
 		cell := cellOf(loc.Point, opts.TowerMergeDecimals)
 		if i, ok := towerIdx[cell]; ok {
@@ -315,16 +323,13 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 		}
 		i := len(n.Towers)
 		towerIdx[cell] = i
-		nodeBuf = cell.appendKey(append(nodeBuf[:0], nodePrefix...), opts.TowerMergeDecimals)
-		node := string(nodeBuf)
+		keyBuf = cell.appendKey(keyBuf[:0], opts.TowerMergeDecimals)
 		n.Towers = append(n.Towers, Tower{
-			Key:          node[len(nodePrefix):],
+			Key:          string(keyBuf),
 			Point:        loc.Point,
 			HeightMeters: loc.SupportHeight,
 		})
-		id := n.g.EnsureNode(node)
-		n.towerID = append(n.towerID, id)
-		n.nodeTower[id] = i
+		n.g.AddNode()
 		return i
 	}
 
@@ -333,7 +338,10 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 	// merge them, unioning their frequencies. Without the merge, a
 	// directional license pair would register as two parallel edges and
 	// every link would trivially have an "alternate path" — itself.
+	// Link i is graph edge i. Links arrive grouped by call sign, so one
+	// owned copy of each call sign serves all of its links.
 	linkAt := make(map[[2]int]int)
+	var callSign string
 	for _, lk := range links {
 		from := ensureTower(lk.TX)
 		to := ensureTower(lk.RX)
@@ -349,31 +357,36 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 				n.Links[li].FrequenciesMHz, lk.FrequenciesMHz)
 			continue
 		}
+		if lk.CallSign != callSign {
+			callSign = strings.Clone(lk.CallSign)
+		}
 		length := lk.LengthMeters()
 		l := Link{
 			From:           from,
 			To:             to,
-			CallSign:       lk.CallSign,
+			CallSign:       callSign,
 			PathNumber:     lk.PathNumber,
 			LengthMeters:   length,
 			Latency:        units.MicrowaveLatency(length),
 			FrequenciesMHz: append([]float64(nil), lk.FrequenciesMHz...),
 		}
-		eid, err := n.g.AddEdge(n.towerID[from], n.towerID[to], l.Latency.Seconds())
-		if err != nil {
+		if _, err := n.g.AddEdge(graph.NodeID(from), graph.NodeID(to), l.Latency.Seconds()); err != nil {
 			return nil, fmt.Errorf("core: %s path %d: %w", lk.CallSign, lk.PathNumber, err)
 		}
 		linkAt[key] = len(n.Links)
-		n.mwEdge[eid] = len(n.Links)
 		n.Links = append(n.Links, l)
 	}
 
 	// Fiber tails: towers within MaxFiberMeters of a data center are
 	// assumed reachable over geodesic fiber (§2.3), nearest first, up to
-	// FiberTailsPerDC attachments.
+	// FiberTailsPerDC attachments. Each distinct data center is one node
+	// after the towers; fiber tail j is edge len(Links)+j.
 	for _, dc := range dcs {
-		dcNode := n.g.EnsureNode("dc:" + dc.Code)
-		n.dcID[dc.Code] = dcNode
+		if slices.Contains(n.dcCodes, dc.Code) {
+			continue
+		}
+		dcNode := n.g.AddNode()
+		n.dcCodes = append(n.dcCodes, dc.Code)
 		type cand struct {
 			tower int
 			dist  float64
@@ -400,14 +413,16 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 				LengthMeters: c.dist,
 				Latency:      units.FiberLatency(c.dist),
 			}
-			eid, err := n.g.AddEdge(dcNode, n.towerID[c.tower], ft.Latency.Seconds())
-			if err != nil {
+			if _, err := n.g.AddEdge(dcNode, graph.NodeID(c.tower), ft.Latency.Seconds()); err != nil {
 				return nil, fmt.Errorf("core: fiber tail %s: %w", dc.Code, err)
 			}
-			n.fbEdge[eid] = len(n.Fiber)
 			n.Fiber = append(n.Fiber, ft)
 		}
 	}
+	// A memoized network outlives its rebuild, often by several corpus
+	// generations: drop the append slack of its two large slices.
+	n.Towers = slices.Clone(n.Towers)
+	n.Links = slices.Clone(n.Links)
 	return n, nil
 }
 
@@ -461,9 +476,8 @@ func (n *Network) BestRoute(path sites.Path) (Route, bool) {
 // route is the lowest-latency route over the graph minus the excluded
 // edges.
 func (n *Network) route(path sites.Path, excluded graph.Mask) (Route, bool) {
-	src, okS := n.dcID[path.From.Code]
-	dst, okD := n.dcID[path.To.Code]
-	if !okS || !okD {
+	src, dst, ok := n.endpoints(path)
+	if !ok {
 		return Route{}, false
 	}
 	p, ok := n.g.ShortestPathExcluding(src, dst, excluded)
@@ -476,16 +490,16 @@ func (n *Network) route(path sites.Path, excluded graph.Mask) (Route, bool) {
 func (n *Network) routeFromPath(path sites.Path, p graph.Path) Route {
 	r := Route{Path: path, Latency: units.Latency(p.Weight)}
 	for _, eid := range p.Edges {
-		if li, ok := n.mwEdge[eid]; ok {
+		if li, ok := n.linkOf(eid); ok {
 			r.MicrowaveMeters += n.Links[li].LengthMeters
 			r.LinkIndexes = append(r.LinkIndexes, li)
-		} else if fi, ok := n.fbEdge[eid]; ok {
-			r.FiberMeters += n.Fiber[fi].LengthMeters
+		} else {
+			r.FiberMeters += n.Fiber[li-len(n.Links)].LengthMeters
 		}
 	}
 	seen := make(map[int]bool)
 	for _, node := range p.Nodes {
-		if ti, ok := n.towerIndexOf(node); ok && !seen[ti] {
+		if ti := int(node); ti < len(n.Towers) && !seen[ti] {
 			seen[ti] = true
 			r.Towers = append(r.Towers, ti)
 		}
@@ -494,9 +508,25 @@ func (n *Network) routeFromPath(path sites.Path, p graph.Path) Route {
 	return r
 }
 
-func (n *Network) towerIndexOf(node graph.NodeID) (int, bool) {
-	i, ok := n.nodeTower[node]
-	return i, ok
+// endpoints returns the graph nodes of the path's two data centers; ok
+// is false when the network has no node for either.
+func (n *Network) endpoints(path sites.Path) (src, dst graph.NodeID, ok bool) {
+	src, okS := n.dcNode(path.From.Code)
+	dst, okD := n.dcNode(path.To.Code)
+	return src, dst, okS && okD
+}
+
+func (n *Network) dcNode(code string) (graph.NodeID, bool) {
+	if k := slices.Index(n.dcCodes, code); k >= 0 {
+		return graph.NodeID(len(n.Towers) + k), true
+	}
+	return 0, false
+}
+
+// linkOf maps a graph edge to its Links index; ok is false for a fiber
+// tail, whose Fiber index is then li-len(n.Links).
+func (n *Network) linkOf(eid graph.EdgeID) (li int, ok bool) {
+	return int(eid), int(eid) < len(n.Links)
 }
 
 // Connected reports whether the network has any end-to-end route for the

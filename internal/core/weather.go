@@ -51,12 +51,11 @@ func (n *Network) RouteUnderStorm(path sites.Path, storm radio.Storm, marginDB f
 		impact.FairWeather = fair
 	}
 	down := make(graph.Mask, n.g.NumEdges())
-	for eid, li := range n.mwEdge {
-		l := n.Links[li]
+	for li, l := range n.Links {
 		a := n.Towers[l.From].Point
 		b := n.Towers[l.To].Point
 		if storm.LinkDownUnderStorm(a, b, linkFrequencyGHz(l), marginDB) {
-			down[eid] = true
+			down[li] = true
 			impact.LinksDown++
 		}
 	}

@@ -127,7 +127,7 @@ func bestChain(p Problem) ([]int, error) {
 	g := graph.New()
 	ids := make([]graph.NodeID, len(p.Candidates))
 	for i := range p.Candidates {
-		ids[i] = g.EnsureNode(fmt.Sprintf("s%d", i))
+		ids[i] = g.AddNode()
 	}
 	maxM := p.Cost.MaxLinkKM * 1000
 	for i := 0; i < len(p.Candidates); i++ {
@@ -275,7 +275,7 @@ func (n *Network) APA(src, dst int, stretchBound float64) float64 {
 		if id, ok := ids[s]; ok {
 			return id
 		}
-		id := g.EnsureNode(fmt.Sprintf("s%d", s))
+		id := g.AddNode()
 		ids[s] = id
 		return id
 	}

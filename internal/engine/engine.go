@@ -9,11 +9,14 @@
 // each distinct snapshot exactly once per database generation:
 // concurrent requests for the same key coalesce onto one in-flight
 // reconstruction, independent keys fan out across a bounded worker
-// pool, and completed snapshots are shared. A memo hit returns the
-// memoized network itself behind a fresh header carrying the requested
-// date: towers, links, graph, and the network's per-path route/APA memo
-// are shared by every reader, so a repeated read of a Table 1 row costs
-// a key lookup and one small allocation. Sharing is safe because a
+// pool, and completed snapshots are shared. An engine over the next
+// corpus generation inherits the snapshots of every licensee whose
+// filings did not change (Inherit), so a publish only rebuilds what it
+// changed. A memo hit returns the memoized network itself behind a
+// fresh header carrying the requested date: towers, links, graph, and
+// the network's per-path route/APA memo are shared by every reader, so
+// a repeated read of a Table 1 row costs a key lookup and one small
+// allocation. Sharing is safe because a
 // core.Network is read-only once built — analyses that knock edges out
 // do it in private graph masks — and callers must not modify what they
 // get back.
@@ -32,6 +35,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,10 +114,11 @@ func WithRebuildTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.rebuildTimeout = d }
 }
 
-// New returns an engine over db. The engine assumes the database is
-// mutated only between analyses (the uls.Database contract); a
-// generation change detected on the next request flushes the memo
-// store.
+// New returns an engine over db with an empty memo store (Inherit
+// carries a previous corpus generation's snapshots over). The engine
+// assumes the database is mutated only between analyses (the
+// uls.Database contract); an in-place change detected on the next
+// request flushes the memo store.
 func New(db *uls.Database, opts ...Option) *Engine {
 	e := &Engine{
 		db:            db,
@@ -350,6 +355,80 @@ func (e *Engine) Prewarm(ctx context.Context, reqs []core.SnapshotRequest) int {
 	return int(ok.Load())
 }
 
+// Inherit adopts prev's memoized snapshots that are still exact against
+// this engine's database and returns how many it adopted. Call it on a
+// fresh engine over the next corpus generation before the engine
+// serves: consecutive generations usually differ in a few licensees,
+// and every snapshot of the others stays valid.
+//
+// A completed, error-free entry carries over when no licensee its
+// family key names has changed filings (uls.ChangedLicensees; a ""
+// name, the whole database, carries over only when nothing changed).
+// An unchanged licensee has the same licenses field for field, hence
+// the same event stream: equal anchors and equal replayed active sets,
+// so the adopted network is deep-equal to the one this engine would
+// build, and its memoized route and APA answers are exact too. Networks
+// own their memory (see core.Network), so adopting one pins nothing of
+// prev's database. Entries still in flight are skipped, and prev is
+// ignored when its database moved since its memo was built (an
+// in-place Add: licenses may have changed in place) or when its memo is
+// empty, in which case the databases are not compared. Replay tracks
+// are not carried over: they hold prev's licenses, and rebuild on
+// demand.
+func (e *Engine) Inherit(prev *Engine) int {
+	if prev == nil || prev == e {
+		return 0
+	}
+	prev.mu.Lock()
+	var done map[string]*entry
+	if prev.db.Generation() == prev.gen {
+		for k, ent := range prev.entries {
+			select {
+			case <-ent.done:
+				if ent.err == nil {
+					if done == nil {
+						done = make(map[string]*entry, len(prev.entries))
+					}
+					done[k] = ent
+				}
+			default:
+			}
+		}
+	}
+	prev.mu.Unlock()
+	if len(done) == 0 {
+		return 0
+	}
+
+	changed := uls.ChangedLicensees(prev.db, e.db)
+	for k := range done {
+		// The family's licensee names lead the key, ␟-separated
+		// (appendFamily); an empty list is one "" name, the whole
+		// database.
+		names, _, _ := strings.Cut(k, "\x1e")
+		for more := true; more; {
+			var name string
+			name, names, more = strings.Cut(names, "\x1f")
+			if changed[name] || (name == "" && len(changed) > 0) {
+				delete(done, k)
+				break
+			}
+		}
+	}
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for k, ent := range done {
+		if _, ok := e.entries[k]; !ok {
+			e.entries[k] = ent
+			n++
+		}
+	}
+	e.stats.Inherited += int64(n)
+	return n
+}
+
 // ConnectedNetworks is core.ConnectedNetworksVia over this engine.
 func (e *Engine) ConnectedNetworks(date uls.Date, path sites.Path, opts core.Options) ([]core.NetworkSummary, error) {
 	return core.ConnectedNetworksVia(e, date, path, opts)
@@ -385,6 +464,11 @@ type Stats struct {
 	// Invalidations counts memo-store flushes triggered by database
 	// generation changes.
 	Invalidations int64
+	// Inherited counts memo entries adopted from the previous corpus
+	// generation's engine when this one started (Inherit): snapshots
+	// whose licensees' event streams did not change, served as hits
+	// without a rebuild.
+	Inherited int64
 	// DeltaHits counts memo hits where anchor re-keying collapsed a
 	// requested date onto an earlier anchor's snapshot — requests the
 	// pre-delta engine would have rebuilt under a distinct date key.

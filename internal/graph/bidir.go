@@ -12,7 +12,7 @@ func (g *Graph) ShortestPathBidirectional(src, dst NodeID, excluded Mask) (Path,
 	if src == dst {
 		return Path{Nodes: []NodeID{src}}, true
 	}
-	n := len(g.keys)
+	n := len(g.adj)
 	distF := make([]float64, n)
 	distB := make([]float64, n)
 	prevF := make([]EdgeID, n)

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -14,7 +13,7 @@ func TestBidirectionalMatchesDijkstra(t *testing.T) {
 		n := 40
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 100; e++ {
 			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]
@@ -59,8 +58,8 @@ func TestBidirectionalMatchesDijkstra(t *testing.T) {
 
 func TestBidirectionalEdgeCases(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
-	g.EnsureNode("lone")
+	a, b := g.AddNode(), g.AddNode()
+	g.AddNode()
 
 	if p, ok := g.ShortestPathBidirectional(a, a, nil); !ok || p.Weight != 0 {
 		t.Errorf("self path = %+v, %v", p, ok)
@@ -77,7 +76,7 @@ func TestBidirectionalEdgeCases(t *testing.T) {
 
 func TestBidirectionalRespectsDisabled(t *testing.T) {
 	g := New()
-	a, b, c := g.EnsureNode("a"), g.EnsureNode("b"), g.EnsureNode("c")
+	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
 	direct, _ := g.AddEdge(a, c, 1)
 	g.AddEdge(a, b, 2)
 	g.AddEdge(b, c, 2)

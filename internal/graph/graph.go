@@ -1,5 +1,5 @@
 // Package graph provides the weighted-graph substrate for network
-// reconstruction: an undirected multigraph keyed by string node names,
+// reconstruction: an undirected multigraph over dense integer node ids,
 // binary-heap Dijkstra, connected components, bounded loop-free path
 // enumeration, and per-edge removal analysis (the primitive behind the
 // paper's APA metric, §5).
@@ -18,7 +18,7 @@ import (
 	"math"
 )
 
-// NodeID identifies a node; it is a dense index assigned by EnsureNode.
+// NodeID identifies a node; it is a dense index assigned by AddNode.
 type NodeID int32
 
 // EdgeID identifies an edge; it is a dense index assigned by AddEdge.
@@ -46,57 +46,40 @@ func (e Edge) Other(n NodeID) NodeID {
 	return e.A
 }
 
-// Graph is an undirected weighted multigraph. The zero value is not
-// usable; call New.
+// Graph is an undirected weighted multigraph. Nodes carry no names:
+// callers that need one map their own identities onto the dense ids
+// AddNode hands out.
 type Graph struct {
-	keys  []string
-	byKey map[string]NodeID
 	edges []Edge
 	adj   [][]EdgeID
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{byKey: make(map[string]NodeID)}
-}
+func New() *Graph { return &Graph{} }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.keys) }
+func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// EnsureNode returns the NodeID for key, creating the node if needed.
-func (g *Graph) EnsureNode(key string) NodeID {
-	if id, ok := g.byKey[key]; ok {
-		return id
-	}
-	id := NodeID(len(g.keys))
-	g.keys = append(g.keys, key)
-	g.byKey[key] = id
+// AddNode adds a node and returns its id: nodes are numbered 0, 1, 2, …
+// in the order they are added.
+func (g *Graph) AddNode() NodeID {
 	g.adj = append(g.adj, nil)
-	return id
+	return NodeID(len(g.adj) - 1)
 }
-
-// Node returns the NodeID for key and whether it exists.
-func (g *Graph) Node(key string) (NodeID, bool) {
-	id, ok := g.byKey[key]
-	return id, ok
-}
-
-// Key returns the string key of a node.
-func (g *Graph) Key(id NodeID) string { return g.keys[id] }
 
 // AddEdge adds an undirected edge with the given non-negative weight and
 // returns its EdgeID.
 func (g *Graph) AddEdge(a, b NodeID, w float64) (EdgeID, error) {
 	if a == b {
-		return 0, fmt.Errorf("graph: self loop at node %d (%s)", a, g.keys[a])
+		return 0, fmt.Errorf("graph: self loop at node %d", a)
 	}
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		return 0, fmt.Errorf("graph: invalid edge weight %v", w)
 	}
-	if int(a) >= len(g.keys) || int(b) >= len(g.keys) || a < 0 || b < 0 {
+	if int(a) >= len(g.adj) || int(b) >= len(g.adj) || a < 0 || b < 0 {
 		return 0, fmt.Errorf("graph: edge references unknown node (%d, %d)", a, b)
 	}
 	id := EdgeID(len(g.edges))
@@ -232,7 +215,7 @@ func (g *Graph) TreePathNodes(prevEdge []EdgeID, src, dst NodeID) []NodeID {
 // dijkstra runs to completion, or until dst is settled when dst >= 0,
 // never traversing an edge in excluded.
 func (g *Graph) dijkstra(src, dst NodeID, excluded Mask) (dist []float64, prevEdge []EdgeID) {
-	n := len(g.keys)
+	n := len(g.adj)
 	dist = make([]float64, n)
 	prevEdge = make([]EdgeID, n)
 	settled := make([]bool, n)
@@ -296,7 +279,7 @@ func (g *Graph) tracePath(src, dst NodeID, dist []float64, prevEdge []EdgeID) Pa
 // ShortestPathNaive is Dijkstra with an O(V) linear scan instead of a
 // heap. It exists only as the ablation baseline for the benchmark suite.
 func (g *Graph) ShortestPathNaive(src, dst NodeID) (Path, bool) {
-	n := len(g.keys)
+	n := len(g.adj)
 	dist := make([]float64, n)
 	prevEdge := make([]EdgeID, n)
 	settled := make([]bool, n)
@@ -340,7 +323,7 @@ func (g *Graph) ShortestPathNaive(src, dst NodeID) (Path, bool) {
 // edges in excluded, each a list of NodeIDs; components are ordered by
 // their smallest node.
 func (g *Graph) Components(excluded Mask) [][]NodeID {
-	n := len(g.keys)
+	n := len(g.adj)
 	seen := make([]bool, n)
 	var comps [][]NodeID
 	stack := make([]NodeID, 0, 64)

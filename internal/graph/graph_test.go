@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -14,7 +13,7 @@ func lineGraph(t testing.TB, k int) (*Graph, []NodeID) {
 	g := New()
 	ids := make([]NodeID, k+1)
 	for i := range ids {
-		ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+		ids[i] = g.AddNode()
 	}
 	for i := 0; i < k; i++ {
 		if _, err := g.AddEdge(ids[i], ids[i+1], 1); err != nil {
@@ -32,13 +31,13 @@ func lineGraph(t testing.TB, k int) (*Graph, []NodeID) {
 func ladderGraph(t testing.TB, k int, railW, rungW float64) (*Graph, NodeID, NodeID) {
 	t.Helper()
 	g := New()
-	src := g.EnsureNode("src")
-	dst := g.EnsureNode("dst")
+	src := g.AddNode()
+	dst := g.AddNode()
 	as := make([]NodeID, k)
 	bs := make([]NodeID, k)
 	for i := 0; i < k; i++ {
-		as[i] = g.EnsureNode(fmt.Sprintf("a%d", i))
-		bs[i] = g.EnsureNode(fmt.Sprintf("b%d", i))
+		as[i] = g.AddNode()
+		bs[i] = g.AddNode()
 	}
 	mustAdd := func(a, b NodeID, w float64) {
 		if _, err := g.AddEdge(a, b, w); err != nil {
@@ -59,31 +58,27 @@ func ladderGraph(t testing.TB, k int, railW, rungW float64) (*Graph, NodeID, Nod
 	return g, src, dst
 }
 
-func TestEnsureNodeDedup(t *testing.T) {
+// TestAddNodeDense: nodes are dense indices in insertion order — the
+// identity the reconstruction layer relies on (node i is tower i).
+func TestAddNodeDense(t *testing.T) {
 	g := New()
-	a := g.EnsureNode("x")
-	b := g.EnsureNode("x")
-	if a != b {
-		t.Errorf("EnsureNode not idempotent: %d vs %d", a, b)
+	for want := 0; want < 3; want++ {
+		if id := g.AddNode(); int(id) != want {
+			t.Errorf("AddNode #%d = %d, want %d", want, id, want)
+		}
 	}
-	if g.NumNodes() != 1 {
-		t.Errorf("NumNodes = %d, want 1", g.NumNodes())
+	if g.NumNodes() != 3 {
+		t.Errorf("NumNodes = %d, want 3", g.NumNodes())
 	}
-	if g.Key(a) != "x" {
-		t.Errorf("Key = %q", g.Key(a))
-	}
-	if _, ok := g.Node("x"); !ok {
-		t.Error("Node(x) missing")
-	}
-	if _, ok := g.Node("y"); ok {
-		t.Error("Node(y) should not exist")
+	if got := len(g.EdgesOf(2)); got != 0 {
+		t.Errorf("new node has %d edges, want 0", got)
 	}
 }
 
 func TestAddEdgeValidation(t *testing.T) {
 	g := New()
-	a := g.EnsureNode("a")
-	b := g.EnsureNode("b")
+	a := g.AddNode()
+	b := g.AddNode()
 	if _, err := g.AddEdge(a, a, 1); err == nil {
 		t.Error("self loop accepted")
 	}
@@ -124,7 +119,7 @@ func TestShortestPathLine(t *testing.T) {
 
 func TestShortestPathPrefersCheaperRoute(t *testing.T) {
 	g := New()
-	a, b, c := g.EnsureNode("a"), g.EnsureNode("b"), g.EnsureNode("c")
+	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
 	g.AddEdge(a, c, 10)
 	g.AddEdge(a, b, 2)
 	g.AddEdge(b, c, 3)
@@ -136,7 +131,7 @@ func TestShortestPathPrefersCheaperRoute(t *testing.T) {
 
 func TestShortestPathParallelEdges(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
+	a, b := g.AddNode(), g.AddNode()
 	g.AddEdge(a, b, 5)
 	cheap, _ := g.AddEdge(a, b, 2)
 	p, ok := g.ShortestPath(a, b)
@@ -147,8 +142,8 @@ func TestShortestPathParallelEdges(t *testing.T) {
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New()
-	a := g.EnsureNode("a")
-	b := g.EnsureNode("b")
+	a := g.AddNode()
+	b := g.AddNode()
 	if _, ok := g.ShortestPath(a, b); ok {
 		t.Error("disconnected nodes reported reachable")
 	}
@@ -164,7 +159,7 @@ func TestShortestPathSelf(t *testing.T) {
 
 func TestDisabledEdges(t *testing.T) {
 	g := New()
-	a, b, c := g.EnsureNode("a"), g.EnsureNode("b"), g.EnsureNode("c")
+	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
 	direct, _ := g.AddEdge(a, c, 1)
 	g.AddEdge(a, b, 2)
 	g.AddEdge(b, c, 2)
@@ -191,7 +186,7 @@ func TestDistancesFrom(t *testing.T) {
 			t.Errorf("dist[%d] = %v, want %d", i, dist[id], i)
 		}
 	}
-	lone := g.EnsureNode("lone")
+	lone := g.AddNode()
 	dist = g.DistancesFrom(ids[0])
 	if !math.IsInf(dist[lone], 1) {
 		t.Errorf("dist[lone] = %v, want +Inf", dist[lone])
@@ -205,7 +200,7 @@ func TestNaiveMatchesHeapDijkstra(t *testing.T) {
 		n := 30
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 80; e++ {
 			a := ids[rng.IntN(n)]
@@ -229,9 +224,9 @@ func TestNaiveMatchesHeapDijkstra(t *testing.T) {
 
 func TestComponents(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
-	c, d := g.EnsureNode("c"), g.EnsureNode("d")
-	g.EnsureNode("e") // isolated
+	a, b := g.AddNode(), g.AddNode()
+	c, d := g.AddNode(), g.AddNode()
+	g.AddNode() // isolated
 	g.AddEdge(a, b, 1)
 	g.AddEdge(c, d, 1)
 	comps := g.Components(nil)
@@ -249,7 +244,7 @@ func TestComponents(t *testing.T) {
 
 func TestComponentsRespectDisabled(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
+	a, b := g.AddNode(), g.AddNode()
 	e, _ := g.AddEdge(a, b, 1)
 	if got := len(g.Components(nil)); got != 1 {
 		t.Fatalf("components = %d, want 1", got)
@@ -270,7 +265,7 @@ func TestDijkstraTriangleProperty(t *testing.T) {
 		n := 20
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 50; e++ {
 			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]

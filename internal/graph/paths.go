@@ -40,7 +40,7 @@ func (g *Graph) PathsWithin(src, dst NodeID, opts EnumerateOptions) (paths []Pat
 		}
 	}
 
-	onPath := make([]bool, len(g.keys))
+	onPath := make([]bool, len(g.adj))
 	var nodes []NodeID
 	var edges []EdgeID
 

@@ -10,8 +10,8 @@ import (
 func TestPathsWithinDiamond(t *testing.T) {
 	// src -1- m1 -1- dst  and  src -2- m2 -2- dst, plus m1 -0.5- m2.
 	g := New()
-	src, dst := g.EnsureNode("s"), g.EnsureNode("d")
-	m1, m2 := g.EnsureNode("m1"), g.EnsureNode("m2")
+	src, dst := g.AddNode(), g.AddNode()
+	m1, m2 := g.AddNode(), g.AddNode()
 	g.AddEdge(src, m1, 1)
 	g.AddEdge(m1, dst, 1)
 	g.AddEdge(src, m2, 2)
@@ -52,7 +52,7 @@ func TestPathsWithinDiamond(t *testing.T) {
 
 func TestPathsWithinUnreachable(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
+	a, b := g.AddNode(), g.AddNode()
 	paths, trunc := g.PathsWithin(a, b, EnumerateOptions{Bound: 100})
 	if len(paths) != 0 || trunc {
 		t.Errorf("unreachable: %d paths, trunc=%v", len(paths), trunc)
@@ -79,7 +79,7 @@ func TestPathsWithinPruningEquivalence(t *testing.T) {
 		n := 12
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 25; e++ {
 			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]
@@ -145,13 +145,13 @@ func TestEdgeRemovalAsymmetricLadderTightBound(t *testing.T) {
 	// removing a fast-rail edge forces a detour that violates the bound,
 	// so tight-bound APA is strictly below loose-bound APA.
 	g := New()
-	src, dst := g.EnsureNode("s"), g.EnsureNode("d")
+	src, dst := g.AddNode(), g.AddNode()
 	k := 5
 	as := make([]NodeID, k)
 	bs := make([]NodeID, k)
 	for i := 0; i < k; i++ {
-		as[i] = g.EnsureNode(fmt.Sprintf("A%d", i))
-		bs[i] = g.EnsureNode(fmt.Sprintf("B%d", i))
+		as[i] = g.AddNode()
+		bs[i] = g.AddNode()
 	}
 	g.AddEdge(src, as[0], 1)
 	g.AddEdge(src, bs[0], 1.2)
@@ -186,7 +186,7 @@ func TestEdgeRemovalFastMatchesSlow(t *testing.T) {
 		n := 15
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 35; e++ {
 			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]
@@ -257,8 +257,8 @@ func TestEdgeRemovalSkipsDisabled(t *testing.T) {
 
 func TestAPAUnreachableBaseline(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
-	c := g.EnsureNode("c")
+	a, b := g.AddNode(), g.AddNode()
+	c := g.AddNode()
 	g.AddEdge(a, c, 1) // b unreachable
 	if apa := g.APA(a, b, 100); apa != 0 {
 		t.Errorf("APA with unreachable dst = %v, want 0", apa)

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -11,8 +10,8 @@ import (
 
 func TestKShortestDiamond(t *testing.T) {
 	g := New()
-	s, d := g.EnsureNode("s"), g.EnsureNode("d")
-	m1, m2 := g.EnsureNode("m1"), g.EnsureNode("m2")
+	s, d := g.AddNode(), g.AddNode()
+	m1, m2 := g.AddNode(), g.AddNode()
 	g.AddEdge(s, m1, 1)
 	g.AddEdge(m1, d, 1) // s-m1-d = 2
 	g.AddEdge(s, m2, 2)
@@ -46,8 +45,8 @@ func TestKShortestDiamond(t *testing.T) {
 
 func TestKShortestK1AndUnreachable(t *testing.T) {
 	g := New()
-	a, b := g.EnsureNode("a"), g.EnsureNode("b")
-	g.EnsureNode("lone")
+	a, b := g.AddNode(), g.AddNode()
+	lone := g.AddNode()
 	g.AddEdge(a, b, 1)
 	if paths := g.KShortestPaths(a, b, 1); len(paths) != 1 {
 		t.Errorf("k=1 paths = %d", len(paths))
@@ -55,7 +54,6 @@ func TestKShortestK1AndUnreachable(t *testing.T) {
 	if paths := g.KShortestPaths(a, b, 0); paths != nil {
 		t.Errorf("k=0 should be nil")
 	}
-	lone, _ := g.Node("lone")
 	if paths := g.KShortestPaths(a, lone, 3); paths != nil {
 		t.Errorf("unreachable should be nil, got %d", len(paths))
 	}
@@ -92,7 +90,7 @@ func TestKShortestMatchesEnumeration(t *testing.T) {
 		n := 9
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 16; e++ {
 			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]
@@ -137,7 +135,7 @@ func TestKShortestSortedAndUnique(t *testing.T) {
 		n := 25
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+			ids[i] = g.AddNode()
 		}
 		for e := 0; e < 60; e++ {
 			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]

@@ -1,0 +1,124 @@
+package serve
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"hftnetview/internal/sites"
+	"hftnetview/internal/units"
+)
+
+// fuzzEndpoints are the JSON query endpoints FuzzQueryParams drives.
+// /v1/watch shares their date, path and year parsers but streams until
+// its replay ends, so it is left to TestWatchBadParams.
+var fuzzEndpoints = []string{"/v1/snapshot", "/v1/rank", "/v1/evolution", "/v1/apa"}
+
+// fuzzRow is any latency/APA row the endpoints answer with.
+type fuzzRow struct {
+	LatencyMicros *float64 `json:"latency_us"`
+	APA           *float64 `json:"apa"`
+}
+
+// fuzzBody is the union of the endpoints' response shapes.
+type fuzzBody struct {
+	Path          string    `json:"path"`
+	Networks      []fuzzRow `json:"networks"`
+	Complementary []fuzzRow `json:"complementary_pairs"`
+	Points        []struct {
+		Connected     bool    `json:"connected"`
+		LatencyMicros float64 `json:"latency_us"`
+	} `json:"points"`
+	Paths []struct {
+		Path   string    `json:"path"`
+		Ranked []fuzzRow `json:"ranked"`
+	} `json:"paths"`
+}
+
+// FuzzQueryParams drives the /v1 query endpoints with arbitrary query
+// strings. Whatever the parameters: no panic and no 5xx; every 200
+// names two distinct known data centers; every latency is at least the
+// path's great-circle time at c (nothing beats light in vacuum); every
+// APA lies in [0, 1]. Seeded with TestBadParams' URLs and valid ones.
+func FuzzQueryParams(f *testing.F) {
+	for _, seed := range []struct {
+		endpoint uint8
+		query    string
+	}{
+		{0, ""},
+		{0, "date=2020-04-01&path=CME-NY4"},
+		{0, "date=06/15/2016&path=cme-nasdaq"},
+		{0, "date=not-a-date"},
+		{0, "path=CME"},
+		{0, "path=CME-LHR"},
+		{0, "path=CME-CME"},
+		{0, "path=NY4-CME&date=2013-01-01"},
+		{1, "top=3"},
+		{1, "top=many"},
+		{1, "top=-1&date=2017-02-28"},
+		{2, ""},
+		{2, "licensee=New+Line+Networks&from=2013&to=2020"},
+		{2, "licensee=X&from=2020&to=2013"},
+		{2, "licensee=X&from=-1000000000&to=1000000000"},
+		{2, "licensee=X&from=1989&to=2020"},
+		{2, "licensee=Webline+Holdings&path=CME-NYSE&from=2018&to=2020"},
+		{2, "licensee=x&path=CME-CME"},
+		{3, ""},
+		{3, "path=NY4-NY4"},
+		{3, "date=2019-11-30&path=CME-NASDAQ"},
+	} {
+		f.Add(seed.endpoint, seed.query)
+	}
+	var once sync.Once
+	var h http.Handler
+	f.Fuzz(func(t *testing.T, endpoint uint8, query string) {
+		once.Do(func() { h = testServer(t, Config{}).Handler() })
+		req := httptest.NewRequest("GET", fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)], nil)
+		req.URL.RawQuery = query
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("%s?%s: status %d: %s", req.URL.Path, query, rec.Code, rec.Body.String())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var body fuzzBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s?%s: undecodable 200: %v", req.URL.Path, query, err)
+		}
+		check := func(pathName string, rows []fuzzRow) {
+			from, to, _ := strings.Cut(pathName, "-")
+			a, okA := sites.ByCode(from)
+			b, okB := sites.ByCode(to)
+			if !okA || !okB || a.Code == b.Code {
+				t.Fatalf("%s?%s: 200 names path %q, want two distinct data centers", req.URL.Path, query, pathName)
+			}
+			floor := units.CLatency(sites.Path{From: a, To: b}.GeodesicMeters()).Microseconds()
+			for _, r := range rows {
+				if r.LatencyMicros != nil && *r.LatencyMicros < floor*(1-1e-9) {
+					t.Fatalf("%s?%s: latency %v µs beats the %v µs c-bound of %s", req.URL.Path, query, *r.LatencyMicros, floor, pathName)
+				}
+				if r.APA != nil && !(*r.APA >= 0 && *r.APA <= 1) {
+					t.Fatalf("%s?%s: APA %v outside [0, 1]", req.URL.Path, query, *r.APA)
+				}
+			}
+		}
+		if req.URL.Path == "/v1/rank" {
+			for _, p := range body.Paths {
+				check(p.Path, p.Ranked)
+			}
+			return
+		}
+		rows := append(body.Networks, body.Complementary...)
+		for _, p := range body.Points {
+			if p.Connected {
+				rows = append(rows, fuzzRow{LatencyMicros: &p.LatencyMicros})
+			}
+		}
+		check(body.Path, rows)
+	})
+}

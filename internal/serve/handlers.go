@@ -154,6 +154,9 @@ func parseDate(r *http.Request) (uls.Date, error) {
 	return d, nil
 }
 
+// parsePath parses ?path=FROM-TO (default CME-NY4) into two distinct
+// data centers. A path from a data center to itself is a 400: every
+// network would "connect" it at zero latency.
 func parsePath(r *http.Request) (sites.Path, error) {
 	q := r.URL.Query().Get("path")
 	if q == "" {
@@ -167,6 +170,9 @@ func parsePath(r *http.Request) (sites.Path, error) {
 	b, okB := sites.ByCode(strings.ToUpper(to))
 	if !okA || !okB {
 		return sites.Path{}, fmt.Errorf("unknown data center in path %q (codes: CME, NY4, NYSE, NASDAQ)", q)
+	}
+	if a.Code == b.Code {
+		return sites.Path{}, fmt.Errorf("bad path %q: both ends are %s", q, a.Code)
 	}
 	return sites.Path{From: a, To: b}, nil
 }

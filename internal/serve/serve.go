@@ -192,11 +192,13 @@ func New(cfg Config) *Server {
 func (s *Server) Config() Config { return s.cfg }
 
 // SetCorpus atomically swaps in a new corpus generation: a fresh engine
-// is built over db and published with one pointer store. In-flight
-// requests keep the generation they pinned at entry; new requests see
-// the new one. The previous generation is garbage once its last
-// request drains. With a store attached (AttachStore) the corpus is
-// also persisted as a new on-disk generation.
+// is built over db, inherits the outgoing engine's snapshots of every
+// licensee whose filings did not change (engine.Inherit), and is
+// published with one pointer store. In-flight requests keep the
+// generation they pinned at entry; new requests see the new one. The
+// previous generation is garbage once its last request drains. With a
+// store attached (AttachStore) the corpus is also persisted as a new
+// on-disk generation.
 func (s *Server) SetCorpus(db *uls.Database, source string) {
 	s.publish(db, source)
 	s.persistCorpus(db, source)
@@ -219,16 +221,30 @@ func (s *Server) publishMeta(db *uls.Database, source string, storeGen int64, di
 	if s.cfg.KeyframeInterval > 0 {
 		opts = append(opts, engine.WithKeyframeInterval(s.cfg.KeyframeInterval))
 	}
+	eng := engine.New(db, opts...)
+	// Consecutive corpora usually differ in a few licensees: carry the
+	// rest of the memo over, so the reads after the swap stay hits.
+	inherited := 0
+	if prev := s.gen.Load(); prev != nil {
+		inherited = eng.Inherit(prev.eng)
+	}
 	g := &generation{
 		id:       s.nextID.Add(1),
 		db:       db,
-		eng:      engine.New(db, opts...),
+		eng:      eng,
 		source:   source,
 		loadedAt: time.Now(),
 		storeGen: storeGen,
 		digest:   digest,
 	}
 	s.gen.Store(g)
+	if inherited > 0 {
+		// Every read re-keys its date on the new corpus's event log.
+		// Build it now that the outgoing generation is unpublished,
+		// rather than in the first read after the swap. A server that
+		// serves no reads inherits nothing and never builds it.
+		db.EventLog()
+	}
 }
 
 // annotateStoreIdentity attaches a just-persisted store identity to the

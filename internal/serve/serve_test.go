@@ -194,6 +194,12 @@ func TestBadParams(t *testing.T) {
 		"/v1/evolution?licensee=X&from=1989&to=2020",
 		"/v1/evolution?licensee=X&from=2013&to=2101",
 		"/v1/evolution?licensee=X&to=1900", // default from=2013 is fine, to is not
+		// A path needs two distinct data centers: from a data center to
+		// itself every network would connect at 0 µs.
+		"/v1/snapshot?path=CME-CME",
+		"/v1/apa?path=NY4-NY4",
+		"/v1/evolution?licensee=x&path=CME-CME",
+		"/v1/watch?licensee=x&path=nyse-NYSE",
 	} {
 		if rec := get(t, h, url); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", url, rec.Code)

@@ -169,6 +169,35 @@ func (db *Database) Licensees() []string {
 	return db.names
 }
 
+// ChangedLicensees returns the licensees whose filings differ between
+// two databases: one of their licenses was added, removed, or differs
+// in a field (License.Equal; a license refiled under another licensee
+// changes both). Every other licensee holds the same licenses in both,
+// field for field, so its event stream (EventLog.Events) and its active
+// set on every date are the same too — what lets the snapshot engine
+// carry that licensee's networks from one corpus generation to the
+// next. The map is empty iff both databases hold the same licenses.
+// Neither database's indexes are built.
+func ChangedLicensees(a, b *Database) map[string]bool {
+	changed := make(map[string]bool)
+	for _, l := range b.licenses {
+		o, ok := a.byCallSign[l.CallSign]
+		if ok && o.Equal(l) {
+			continue
+		}
+		changed[l.Licensee] = true
+		if ok {
+			changed[o.Licensee] = true
+		}
+	}
+	for _, l := range a.licenses {
+		if _, ok := b.byCallSign[l.CallSign]; !ok {
+			changed[l.Licensee] = true
+		}
+	}
+	return changed
+}
+
 // ByLicensee returns the licenses filed under the given entity name,
 // sorted by call sign.
 func (db *Database) ByLicensee(name string) []*License {

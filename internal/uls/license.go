@@ -14,6 +14,7 @@ package uls
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hftnetview/internal/geo"
@@ -286,3 +287,52 @@ func (lk Link) LengthMeters() float64 { return geo.Distance(lk.TX.Point, lk.RX.P
 func SortLicenses(ls []*License) {
 	sort.Slice(ls, func(i, j int) bool { return ls[i].CallSign < ls[j].CallSign })
 }
+
+// Equal reports whether l and o are the same filing in every field:
+// identity and contact strings, status, the three lifecycle dates, and
+// every Location and Path field, in order. Floats compare by their
+// bits, so the predicate means "identical content" rather than
+// numerically close: a coordinate one ULP away is a different filing.
+// The snapshot engine relies on it to decide that a licensee's
+// networks survive a corpus change (see ChangedLicensees).
+func (l *License) Equal(o *License) bool {
+	if l == o {
+		return true
+	}
+	if l.CallSign != o.CallSign || l.LicenseID != o.LicenseID ||
+		l.Licensee != o.Licensee || l.FRN != o.FRN ||
+		l.ContactEmail != o.ContactEmail || l.RadioService != o.RadioService ||
+		l.Status != o.Status || l.Grant != o.Grant ||
+		l.Expiration != o.Expiration || l.Cancellation != o.Cancellation ||
+		len(l.Locations) != len(o.Locations) || len(l.Paths) != len(o.Paths) {
+		return false
+	}
+	for i := range l.Locations {
+		a, b := &l.Locations[i], &o.Locations[i]
+		if a.Number != b.Number || !sameFloat(a.Point.Lat, b.Point.Lat) ||
+			!sameFloat(a.Point.Lon, b.Point.Lon) ||
+			!sameFloat(a.GroundElevation, b.GroundElevation) ||
+			!sameFloat(a.SupportHeight, b.SupportHeight) {
+			return false
+		}
+	}
+	for i := range l.Paths {
+		a, b := &l.Paths[i], &o.Paths[i]
+		if a.Number != b.Number || a.TXLocation != b.TXLocation ||
+			a.RXLocation != b.RXLocation || a.StationClass != b.StationClass ||
+			len(a.FrequenciesMHz) != len(b.FrequenciesMHz) ||
+			!sameFloat(a.TXAzimuthDeg, b.TXAzimuthDeg) ||
+			!sameFloat(a.RXAzimuthDeg, b.RXAzimuthDeg) ||
+			!sameFloat(a.AntennaGainDBi, b.AntennaGainDBi) {
+			return false
+		}
+		for j, f := range a.FrequenciesMHz {
+			if !sameFloat(f, b.FrequenciesMHz[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
