@@ -122,11 +122,11 @@ cover:
 	check ./internal/fleet/ fleet 85.0; \
 	check ./internal/store/ store 75.0
 
-# Perf gates. Delta sweep (E22): the engine's event-log replay must keep
-# a daily-grid evolution sweep >= 10x faster than the legacy
-# rebuild-per-date path, with identical points. Same-process ratio, so
-# it holds on any runner; absolute numbers are recorded in
-# BENCH_*.json. Snapshot hit (E18): a warm memo hit allocates at most
+# Perf gates. Delta sweep (E22): the engine's anchor dedup (one
+# rebuild per distinct event-log anchor) must keep a daily-grid
+# evolution sweep >= 10x faster than a rebuild per date, with identical
+# points. Same-process ratio, so it holds on any runner; absolute
+# numbers are recorded in BENCH_*.json. Snapshot hit (E18): a warm memo hit allocates at most
 # once (the header carrying the requested date), without the race
 # detector, whose instrumentation allocates on its own. Union budget
 # (E13): the complementary-pair analysis builds a union only for loner
@@ -135,12 +135,14 @@ cover:
 # publish that changes one licensee carries every other licensee's
 # snapshots over, so re-reading the three paper-date tables rebuilds
 # exactly that licensee's 3 families (a deterministic count; 171
-# without the carry-over).
+# without the carry-over). Memo bound (E18): 2,000 distinct unknown
+# licensees on /v1/evolution and /v1/watch answer 404 and add no memo
+# entry (a deterministic count).
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
 	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
 	$(GO) test -run 'TestComplementaryPairsUnionBudget' -v ./internal/entity/
-	$(GO) test -run 'TestInheritRebuildBudget' -v ./internal/serve/
+	$(GO) test -run 'TestInheritRebuildBudget|TestUnknownLicenseeNoMemo' -v ./internal/serve/
 
 # Short fuzz pass over the bulk parsers and the two parsers the store's
 # single install path trusts. The lenient reader must never panic, must

@@ -571,10 +571,10 @@ func BenchmarkEvolutionDailyFullRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkEvolutionDailyDelta is the same sweep through a cold delta
-// engine each iteration: the dates collapse onto their event-log
-// anchors and resolve in one linear replay (E22). The gate holding
-// this at >=10x over the baseline is TestDeltaSweepBudget.
+// BenchmarkEvolutionDailyDelta is the same sweep through a cold engine
+// each iteration: the dates collapse onto their event-log anchors, one
+// rebuild per distinct anchor (E22). The gate holding this at >=10x
+// over the baseline is TestDeltaSweepBudget.
 func BenchmarkEvolutionDailyDelta(b *testing.B) {
 	db := corpus(b)
 	dates := benchDailyDates(b)

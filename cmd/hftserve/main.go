@@ -13,7 +13,6 @@
 //	         [-breaker-failures 5] [-breaker-cooldown 5s]
 //	         [-drain-timeout 15s]
 //	         [-watch-max-streams 64] [-watch-heartbeat 15s]
-//	         [-keyframe-interval 16]
 //	         [-pull-from URL] [-pull-front URL] [-pull-interval 2s] [-pull-keep 3]
 //	         [-pull-max-bps 0]
 //	         [-announce URL] [-announce-name NAME] [-announce-url URL]
@@ -127,7 +126,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "in-flight drain budget on SIGTERM/SIGINT")
 	watchMaxStreams := flag.Int("watch-max-streams", 64, "max concurrently open /v1/watch replay streams")
 	watchHeartbeat := flag.Duration("watch-heartbeat", 15*time.Second, "SSE heartbeat cadence on idle /v1/watch streams")
-	keyframeInterval := flag.Int("keyframe-interval", 0, "engine replay keyframe spacing in events (0 = engine default)")
 	pullFrom := flag.String("pull-from", "", "replicate generations from this primary's base URL (requires -store-dir, excludes -bulk)")
 	pullFront := flag.String("pull-front", "", "resolve the replication source dynamically from this front tier's /v1/fleet/source (requires -store-dir, excludes -bulk; overrides -pull-from once a source is elected)")
 	pullInterval := flag.Duration("pull-interval", 2*time.Second, "replication poll cadence (jittered)")
@@ -172,7 +170,6 @@ func main() {
 		BreakerCooldown:  *breakerCooldown,
 		WatchMaxStreams:  *watchMaxStreams,
 		WatchHeartbeat:   *watchHeartbeat,
-		KeyframeInterval: *keyframeInterval,
 	})
 
 	reloadOpts := serve.ReloadOptions{MaxErrorRate: *maxErrorRate}

@@ -220,17 +220,17 @@ func Reconstruct(db *Database, licensee string, date Date, dcs []DataCenter, opt
 // ConnectedNetworks reproduces a Table 1 row set: every licensee with an
 // end-to-end route on the path at the date, ordered by latency.
 func ConnectedNetworks(db *Database, date Date, path Path, opts Options) ([]NetworkSummary, error) {
-	return core.ConnectedNetworks(db, date, path, opts)
+	return core.ConnectedNetworksVia(core.DirectProvider(db), date, path, opts)
 }
 
 // RankNetworks reproduces Table 2: the fastest networks per path.
 func RankNetworks(db *Database, date Date, paths []Path, topN int, opts Options) ([]PathRanking, error) {
-	return core.RankNetworks(db, date, paths, topN, opts)
+	return core.RankNetworksVia(core.DirectProvider(db), date, paths, topN, opts)
 }
 
 // Evolution reproduces the Figs 1–2 trajectories for one licensee.
 func Evolution(db *Database, licensee string, path Path, dates []Date, opts Options) ([]EvolutionPoint, error) {
-	return core.Evolution(db, licensee, path, dates, opts)
+	return core.EvolutionVia(core.DirectProvider(db), licensee, path, dates, opts)
 }
 
 // PaperSampleDates returns January-1 samples (April 1 for 2020), as the

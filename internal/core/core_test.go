@@ -354,7 +354,7 @@ func TestConnectedNetworksOrdering(t *testing.T) {
 	// And one never-connected licensee.
 	buildChainNetwork(t, db, "Partial Net", 6, grant15, uls.Date{}, 11000)
 
-	rows, err := ConnectedNetworks(db, date20, pathNY4, DefaultOptions())
+	rows, err := ConnectedNetworksVia(DirectProvider(db), date20, pathNY4, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestEvolution(t *testing.T) {
 	if dates[7] != uls.NewDate(2020, time.April, 1) {
 		t.Errorf("2020 sample = %v, want April 1", dates[7])
 	}
-	pointsList, err := Evolution(db, "Evolving Net", pathNY4, dates, DefaultOptions())
+	pointsList, err := EvolutionVia(DirectProvider(db), "Evolving Net", pathNY4, dates, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,31 +23,24 @@ type EvolutionPoint struct {
 }
 
 // EvolutionSweeper is a provider that can resolve a whole longitudinal
-// sweep itself — the snapshot engine implements it as one linear pass
-// over the temporal event log (distinct anchors resolved in ascending
-// date order, so the rolling replay cursor only moves forward) instead
-// of one independent reconstruction per date. EvolutionVia prefers it
-// when the provider offers it.
+// sweep itself — the snapshot engine implements it by grouping the
+// dates by event-log anchor and resolving each distinct anchor once,
+// instead of one independent reconstruction per date. EvolutionVia
+// prefers it when the provider offers it.
 type EvolutionSweeper interface {
 	EvolutionSweep(licensee string, path sites.Path, dates []uls.Date, opts Options) ([]EvolutionPoint, error)
 }
 
-// Evolution reconstructs the licensee's network at each date and reports
-// the trajectory — the data behind Figs 1 and 2. It is the one-shot form
-// of EvolutionVia over an uncached provider, and doubles as the
-// correctness oracle for the event-log sweep: every date is rebuilt
-// independently, with no delta state shared between points.
-func Evolution(db *uls.Database, licensee string, path sites.Path, dates []uls.Date, opts Options) ([]EvolutionPoint, error) {
-	return EvolutionVia(DirectProvider(db), licensee, path, dates, opts)
-}
-
-// EvolutionVia is Evolution over a SnapshotProvider. A provider that
-// implements EvolutionSweeper (the snapshot engine) resolves the sweep
-// as one linear pass over the event log; otherwise the per-date path
-// runs — reconstructions are independent, so the provider may resolve
-// them in parallel. Either way the per-date license counts come from
-// the event log's prefix sums (O(log events) per point), not from
-// re-deriving the full per-licensee activity map at every date.
+// EvolutionVia reconstructs the licensee's network at each date through
+// the provider and reports the trajectory — the data behind Figs 1 and
+// 2. A provider that implements EvolutionSweeper (the snapshot engine)
+// resolves the sweep once per distinct anchor; otherwise the per-date
+// path runs — reconstructions are independent, so the provider may
+// resolve them in parallel. Over DirectProvider every date is rebuilt
+// independently, which makes it the correctness oracle for the sweep.
+// Either way the per-date license counts come from the event log's
+// prefix sums (O(log events) per point), not from re-deriving the full
+// per-licensee activity map at every date.
 func EvolutionVia(p SnapshotProvider, licensee string, path sites.Path, dates []uls.Date, opts Options) ([]EvolutionPoint, error) {
 	if s, ok := p.(EvolutionSweeper); ok {
 		return s.EvolutionSweep(licensee, path, dates, opts)

@@ -264,29 +264,12 @@ func ReconstructUnion(db *uls.Database, licensees []string, date uls.Date, dcs [
 }
 
 // UnionLabel is the display name of a union network: the licensee
-// names joined with " + ", in the given order. Reconstruction paths
-// that bypass ReconstructUnion (the delta engine's replay stitch) use
-// it so equal licensee sets always yield equal labels.
+// names joined with " + ", in the given order.
 func UnionLabel(licensees []string) string {
 	if len(licensees) == 1 {
 		return licensees[0]
 	}
 	return strings.Join(licensees, " + ")
-}
-
-// ReconstructActive stitches a network from an already-resolved active
-// license set instead of a date-interval stabbing query — the entry
-// point for the delta snapshot engine, which maintains the active set
-// incrementally by replaying the temporal event log. The license order
-// is irrelevant: stitching sorts the materialized links by their
-// unique (call sign, path number) identity, so a replayed set and a
-// stab-queried set produce deep-equal networks.
-func ReconstructActive(active []*uls.License, label string, date uls.Date, dcs []sites.DataCenter, opts Options) (*Network, error) {
-	var links []uls.Link
-	for _, l := range active {
-		links = append(links, l.Links()...)
-	}
-	return reconstructLinks(links, label, date, dcs, opts)
 }
 
 func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites.DataCenter, opts Options) (*Network, error) {

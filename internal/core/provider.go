@@ -50,8 +50,8 @@ type directProvider struct {
 }
 
 // DirectProvider returns an uncached SnapshotProvider over db. It is
-// the baseline the memoizing engine is benchmarked against and the
-// backend of the one-shot analysis functions.
+// the oracle the memoizing engine is tested and benchmarked against,
+// and the reconstruction the engine runs on a miss.
 func DirectProvider(db *uls.Database) SnapshotProvider {
 	return &directProvider{db: db}
 }

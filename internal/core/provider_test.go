@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -199,16 +200,23 @@ func TestNetworkCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestProviderVariantsAgree: the Via analyses over a DirectProvider must
-// reproduce the one-shot results exactly.
+// TestProviderVariantsAgree: ConnectedNetworksVia over a DirectProvider
+// must reproduce, row for row, the table built by hand from one
+// Reconstruct per licensee.
 func TestProviderVariantsAgree(t *testing.T) {
 	db := providerDB(t)
-	p := DirectProvider(db)
-	direct, err := ConnectedNetworks(db, date20, pathNY4, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	var direct []NetworkSummary
+	for _, name := range db.Licensees() {
+		n, err := Reconstruct(db, name, date20, []sites.DataCenter{pathNY4.From, pathNY4.To}, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := summarize(name, n, pathNY4); s != nil {
+			direct = append(direct, *s)
+		}
 	}
-	via, err := ConnectedNetworksVia(p, date20, pathNY4, DefaultOptions())
+	sort.Slice(direct, func(i, j int) bool { return direct[i].Latency < direct[j].Latency })
+	via, err := ConnectedNetworksVia(DirectProvider(db), date20, pathNY4, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,19 +21,13 @@ type NetworkSummary struct {
 	Route      Route
 }
 
-// ConnectedNetworks reconstructs every licensee in the database at the
-// given date and returns those with an end-to-end route on the path,
-// ordered by increasing latency — the paper's Table 1. It is the
-// one-shot form of ConnectedNetworksVia over an uncached provider.
-func ConnectedNetworks(db *uls.Database, date uls.Date, path sites.Path, opts Options) ([]NetworkSummary, error) {
-	return ConnectedNetworksVia(DirectProvider(db), date, path, opts)
-}
-
-// ConnectedNetworksVia is ConnectedNetworks over a SnapshotProvider:
-// snapshots come from the provider (memoized and fanned out across a
-// worker pool when the provider is the snapshot engine), and the
-// per-licensee route/APA summaries are computed concurrently. The
-// result is deterministic regardless of scheduling.
+// ConnectedNetworksVia reconstructs every licensee in the database at
+// the given date and returns those with an end-to-end route on the
+// path, ordered by increasing latency — the paper's Table 1. Snapshots
+// come from the provider (memoized and fanned out across a worker pool
+// when the provider is the snapshot engine), and the per-licensee
+// route/APA summaries are computed concurrently. The result is
+// deterministic regardless of scheduling.
 func ConnectedNetworksVia(p SnapshotProvider, date uls.Date, path sites.Path, opts Options) ([]NetworkSummary, error) {
 	licensees := p.DB().Licensees()
 	reqs := make([]SnapshotRequest, len(licensees))
@@ -116,14 +110,8 @@ type PathRanking struct {
 	Ranked         []NetworkSummary
 }
 
-// RankNetworks produces Table 2: for each corridor path, the networks
-// ranked by end-to-end latency (topN > 0 truncates each ranking). It is
-// the one-shot form of RankNetworksVia over an uncached provider.
-func RankNetworks(db *uls.Database, date uls.Date, paths []sites.Path, topN int, opts Options) ([]PathRanking, error) {
-	return RankNetworksVia(DirectProvider(db), date, paths, topN, opts)
-}
-
-// RankNetworksVia is RankNetworks over a SnapshotProvider.
+// RankNetworksVia produces Table 2: for each corridor path, the networks
+// ranked by end-to-end latency (topN > 0 truncates each ranking).
 func RankNetworksVia(prov SnapshotProvider, date uls.Date, paths []sites.Path, topN int, opts Options) ([]PathRanking, error) {
 	var out []PathRanking
 	for _, p := range paths {

@@ -47,7 +47,7 @@ func TestConnectedNetworksParallelDeterministic(t *testing.T) {
 	path := sites.Path{From: sites.CME, To: sites.NY4}
 	opts := DefaultOptions()
 
-	first, err := ConnectedNetworks(db, date, path, opts)
+	first, err := ConnectedNetworksVia(DirectProvider(db), date, path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestConnectedNetworksParallelDeterministic(t *testing.T) {
 		t.Fatalf("connected = %d, want 9", len(first))
 	}
 	for run := 0; run < 3; run++ {
-		again, err := ConnectedNetworks(db, date, path, opts)
+		again, err := ConnectedNetworksVia(DirectProvider(db), date, path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

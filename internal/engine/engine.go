@@ -52,14 +52,6 @@ type Engine struct {
 	db             *uls.Database
 	sem            chan struct{} // bounds concurrent reconstructions
 	rebuildTimeout time.Duration // 0 = wait forever
-	keyframeEvery  int           // replay keyframe interval, in events
-
-	// Delta replay state: one track per (licensee set, DC set, options)
-	// family, flushed together with the memo store on generation
-	// change. Guarded by trackMu; lock order is mu before trackMu
-	// (flushTracks runs under mu), never the reverse.
-	trackMu sync.Mutex
-	tracks  map[string]*track
 
 	mu      sync.Mutex
 	gen     int64 // db generation the memo store was built against
@@ -93,18 +85,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithKeyframeInterval sets how many replayed events separate two
-// keyframes (default 16). Smaller intervals bound rewinds tighter at
-// the cost of memory; 1 keyframes every event position the replay
-// visits. Values < 1 are ignored.
-func WithKeyframeInterval(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.keyframeEvery = n
-		}
-	}
-}
-
 // WithRebuildTimeout caps how long any single SnapshotContext call
 // waits for its reconstruction (queueing included). A request that
 // exceeds the cap fails with an error classified as FailureTimeout;
@@ -121,11 +101,9 @@ func WithRebuildTimeout(d time.Duration) Option {
 // request flushes the memo store.
 func New(db *uls.Database, opts ...Option) *Engine {
 	e := &Engine{
-		db:            db,
-		gen:           db.Generation(),
-		entries:       make(map[string]*entry),
-		tracks:        make(map[string]*track),
-		keyframeEvery: 16,
+		db:      db,
+		gen:     db.Generation(),
+		entries: make(map[string]*entry),
 	}
 	for _, o := range opts {
 		o(e)
@@ -169,8 +147,7 @@ func appendKey(b []byte, req core.SnapshotRequest) []byte {
 // options) family to b: sorted deduplicated licensees, sorted
 // data-center codes, and the options fingerprint, joined with the ASCII
 // unit (␟) and record (␞) separators so no field can collide with
-// another. The family key alone names a replay track; with the date it
-// names a snapshot.
+// another. With the date it names a snapshot.
 func appendFamily(b []byte, req core.SnapshotRequest) []byte {
 	var nameBuf, codeBuf [8]string
 	names := append(nameBuf[:0], req.Licensees...)
@@ -233,12 +210,10 @@ func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) 
 	if g := e.db.Generation(); g != e.gen {
 		// The database changed under us: every memoized snapshot is
 		// stale. Entries still in flight finish against the old data
-		// and are dropped with the map, and the replay tracks (built
-		// over the old event log) flush with them.
+		// and are dropped with the map.
 		e.entries = make(map[string]*entry)
 		e.gen = g
 		e.stats.Invalidations++
-		e.flushTracks()
 	}
 	ent, ok := e.entries[string(key)]
 	done := false
@@ -300,20 +275,19 @@ func (e *Engine) wait(ctx context.Context, ent *entry) error {
 }
 
 // fill runs the reconstruction for a freshly created entry and
-// publishes the result. Error entries are evicted so failures are
-// retried rather than served from the memo store.
+// publishes the result. The rebuild is the oracle's own stab query
+// (core.DirectProvider) at the anchor date rekey chose, over the
+// canonical licensee list, so a union's label does not depend on the
+// order its names were requested in. Error entries are evicted so
+// failures are retried rather than served from the memo store.
 func (e *Engine) fill(key string, ent *entry, req core.SnapshotRequest) {
 	e.sem <- struct{}{}
-	var ds deltaStats
-	ent.net, ds, ent.err = e.reconstructDelta(req)
+	req.Licensees = canonNames(req.Licensees)
+	ent.net, ent.err = core.DirectProvider(e.db).Snapshot(req)
 	<-e.sem
 
 	e.mu.Lock()
 	e.stats.Rebuilds++
-	e.stats.DeltaBuilds += ds.deltaBuilds
-	e.stats.KeyframeRestores += ds.keyframeRestores
-	e.stats.EventsReplayed += ds.eventsReplayed
-	e.stats.KeyframesSaved += ds.keyframesSaved
 	if ent.err != nil && e.entries[key] == ent {
 		delete(e.entries, key)
 	}
@@ -365,16 +339,14 @@ func (e *Engine) Prewarm(ctx context.Context, reqs []core.SnapshotRequest) int {
 // family key names has changed filings (uls.ChangedLicensees; a ""
 // name, the whole database, carries over only when nothing changed).
 // An unchanged licensee has the same licenses field for field, hence
-// the same event stream: equal anchors and equal replayed active sets,
+// the same event stream: equal anchors and equal active sets at them,
 // so the adopted network is deep-equal to the one this engine would
 // build, and its memoized route and APA answers are exact too. Networks
 // own their memory (see core.Network), so adopting one pins nothing of
 // prev's database. Entries still in flight are skipped, and prev is
 // ignored when its database moved since its memo was built (an
 // in-place Add: licenses may have changed in place) or when its memo is
-// empty, in which case the databases are not compared. Replay tracks
-// are not carried over: they hold prev's licenses, and rebuild on
-// demand.
+// empty, in which case the databases are not compared.
 func (e *Engine) Inherit(prev *Engine) int {
 	if prev == nil || prev == e {
 		return 0
@@ -473,17 +445,12 @@ type Stats struct {
 	// requested date onto an earlier anchor's snapshot — requests the
 	// pre-delta engine would have rebuilt under a distinct date key.
 	DeltaHits int64
-	// DeltaBuilds counts rebuilds served by event-log replay — every
-	// rebuild, so it tracks Rebuilds.
-	DeltaBuilds int64
-	// KeyframeRestores counts replays that rewound to a keyframe (or
-	// the empty set) because the target date preceded the rolling
-	// cursor.
-	KeyframeRestores int64
-	// EventsReplayed counts log events applied across all replays.
+	// EventsReplayed always reads 0: a miss rebuilds with the stab
+	// query at its anchor and replays no events.
+	//
+	// Deprecated: nothing counts into it; it stays only so existing
+	// readers compile.
 	EventsReplayed int64
-	// KeyframesSaved counts keyframes captured while rolling forward.
-	KeyframesSaved int64
 	// Entries is the current memo-store size.
 	Entries int
 }

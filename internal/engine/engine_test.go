@@ -440,7 +440,7 @@ func TestGenerationInvalidation(t *testing.T) {
 func TestEvolutionCachedMatchesDirect(t *testing.T) {
 	db := corpus(t)
 	dates := core.PaperSampleDates(2013, 2020)
-	want, err := core.Evolution(db, "New Line Networks", pathNY4, dates, core.DefaultOptions())
+	want, err := core.EvolutionVia(core.DirectProvider(db), "New Line Networks", pathNY4, dates, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

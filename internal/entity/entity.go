@@ -95,19 +95,11 @@ type Pair struct {
 	TowerCount int
 }
 
-// ComplementaryPairs tests every pair among candidates (nil = every
+// ComplementaryPairsVia tests every pair among candidates (nil = every
 // licensee in the database; repeated names count once): pairs where
 // neither member has an end-to-end route on the path at the date, but
 // their union does. Pairs are returned sorted by (A, B); within a pair
-// A < B. It is the one-shot form of ComplementaryPairsVia over an
-// uncached provider.
-func ComplementaryPairs(db *uls.Database, date uls.Date, path sites.Path,
-	candidates []string, opts core.Options) ([]Pair, error) {
-	return ComplementaryPairsVia(core.DirectProvider(db), date, path, candidates, opts)
-}
-
-// ComplementaryPairsVia is ComplementaryPairs over a SnapshotProvider.
-// The per-licensee screen and the union reconstructions are both
+// A < B. The per-licensee screen and the union reconstructions are both
 // resolved as provider batches, so the snapshot engine fans them out and
 // reuses any snapshots other analyses already built. candidates is
 // never modified.

@@ -119,7 +119,7 @@ func TestReconstructUnionConnects(t *testing.T) {
 }
 
 func TestComplementaryPairs(t *testing.T) {
-	pairs, err := ComplementaryPairs(db(t), snapshot, pathNY4, nil, core.DefaultOptions())
+	pairs, err := ComplementaryPairsVia(core.DirectProvider(db(t)), snapshot, pathNY4, nil, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestComplementaryPairs(t *testing.T) {
 
 func TestComplementaryPairsSubset(t *testing.T) {
 	// Restricting candidates to names without the partner finds nothing.
-	pairs, err := ComplementaryPairs(db(t), snapshot, pathNY4,
+	pairs, err := ComplementaryPairsVia(core.DirectProvider(db(t)), snapshot, pathNY4,
 		[]string{synth.JointA, "Great Lakes Relay"}, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestReconstructUnionValidation(t *testing.T) {
 // caller's slice nor the database's shared name list is reordered.
 func TestComplementaryPairsRepeatedCandidate(t *testing.T) {
 	cands := []string{synth.JointA, synth.JointB, synth.JointA}
-	pairs, err := ComplementaryPairs(db(t), snapshot, pathNY4, cands, core.DefaultOptions())
+	pairs, err := ComplementaryPairsVia(core.DirectProvider(db(t)), snapshot, pathNY4, cands, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestComplementaryPairsRepeatedCandidate(t *testing.T) {
 	}
 	names := db(t).Licensees()
 	before := slices.Clone(names)
-	if _, err := ComplementaryPairs(db(t), snapshot, pathNY4, nil, core.DefaultOptions()); err != nil {
+	if _, err := ComplementaryPairsVia(core.DirectProvider(db(t)), snapshot, pathNY4, nil, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(names, before) {

@@ -134,10 +134,10 @@ func Fig1(p core.SnapshotProvider, firstYear, lastYear int) (*Table, error) {
 }
 
 // Fig1Grid is Fig1 on an arbitrary sampling grid ("yearly", "monthly",
-// "daily"). Dense grids are where the engine's delta sweep pays off:
+// "daily"). Dense grids are where the engine's anchor dedup pays off:
 // every date between two license events resolves to the same anchor
-// snapshot, so a daily sweep costs one linear event-log pass, not one
-// rebuild per day.
+// snapshot, so a daily sweep costs one rebuild per license event date,
+// not one per day.
 func Fig1Grid(p core.SnapshotProvider, firstYear, lastYear int, grid string) (*Table, error) {
 	dates, err := core.GridDates(firstYear, lastYear, grid)
 	if err != nil {

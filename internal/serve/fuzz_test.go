@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,7 @@ type fuzzRow struct {
 
 // fuzzBody is the union of the endpoints' response shapes.
 type fuzzBody struct {
+	Licensee      string    `json:"licensee"`
 	Path          string    `json:"path"`
 	Networks      []fuzzRow `json:"networks"`
 	Complementary []fuzzRow `json:"complementary_pairs"`
@@ -42,7 +44,9 @@ type fuzzBody struct {
 // strings. Whatever the parameters: no panic and no 5xx; every 200
 // names two distinct known data centers; every latency is at least the
 // path's great-circle time at c (nothing beats light in vacuum); every
-// APA lies in [0, 1]. Seeded with TestBadParams' URLs and valid ones.
+// APA lies in [0, 1]; every /v1/evolution answer names a licensee of
+// the corpus (an unknown one is a 404, never a memo entry). Seeded with
+// TestBadParams' and TestUnknownLicenseeNotFound's URLs and valid ones.
 func FuzzQueryParams(f *testing.F) {
 	for _, seed := range []struct {
 		endpoint uint8
@@ -66,6 +70,8 @@ func FuzzQueryParams(f *testing.F) {
 		{2, "licensee=X&from=1989&to=2020"},
 		{2, "licensee=Webline+Holdings&path=CME-NYSE&from=2018&to=2020"},
 		{2, "licensee=x&path=CME-CME"},
+		{2, "licensee=X"},
+		{2, "licensee=new+line+networks&from=2016"},
 		{3, ""},
 		{3, "path=NY4-NY4"},
 		{3, "date=2019-11-30&path=CME-NASDAQ"},
@@ -89,6 +95,11 @@ func FuzzQueryParams(f *testing.F) {
 		var body fuzzBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatalf("%s?%s: undecodable 200: %v", req.URL.Path, query, err)
+		}
+		if req.URL.Path == "/v1/evolution" {
+			if _, ok := slices.BinarySearch(corpus(t).Licensees(), body.Licensee); !ok {
+				t.Fatalf("%s?%s: 200 for licensee %q, which the corpus does not have", req.URL.Path, query, body.Licensee)
+			}
 		}
 		check := func(pathName string, rows []fuzzRow) {
 			from, to, _ := strings.Cut(pathName, "-")

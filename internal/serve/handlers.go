@@ -62,10 +62,10 @@ func (p ctxProvider) Snapshots(reqs []core.SnapshotRequest) ([]*core.Network, er
 	return core.SnapshotsParallel(p, reqs)
 }
 
-// EvolutionSweep forwards core.EvolutionSweeper to the engine's linear
-// event-log pass, keeping the request context on every anchor
-// snapshot — core.EvolutionVia over a ctxProvider takes the delta
-// sweep, not the legacy per-date path.
+// EvolutionSweep forwards core.EvolutionSweeper to the engine's
+// anchor-grouped sweep, keeping the request context on every anchor
+// snapshot — core.EvolutionVia over a ctxProvider resolves each
+// distinct anchor once, not every date.
 func (p ctxProvider) EvolutionSweep(licensee string, path sites.Path, dates []uls.Date, opts core.Options) ([]core.EvolutionPoint, error) {
 	return p.eng.EvolutionSweepContext(p.ctx, licensee, path, dates, opts)
 }
@@ -88,13 +88,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// runQuery wraps one engine-backed analysis in the circuit breaker and
-// failure accounting: engine failures (timeouts, rebuild errors) count
-// against the breaker; client-side cancellation does not. It writes the
-// error response on failure and reports whether the caller should
-// proceed to render results.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, f func(p core.SnapshotProvider, g *generation) error) bool {
-	g := s.gen.Load()
+// runQuery wraps one engine-backed analysis over generation g (the
+// live one, loaded by the caller) in the circuit breaker and failure
+// accounting: engine failures (timeouts, rebuild errors) count against
+// the breaker; client-side cancellation does not. It writes the error
+// response on failure and reports whether the caller should proceed to
+// render results.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, g *generation, f func(p core.SnapshotProvider, g *generation) error) bool {
 	if g == nil {
 		w.Header().Set("Retry-After", RetryAfterJitter(s.cfg.RetryAfter))
 		writeError(w, http.StatusServiceUnavailable, "no corpus loaded")
@@ -261,7 +261,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Networks   []networkRow `json:"networks"`
 	}
 	var out resp
-	if !s.runQuery(w, r, func(p core.SnapshotProvider, g *generation) error {
+	if !s.runQuery(w, r, s.gen.Load(), func(p core.SnapshotProvider, g *generation) error {
 		rows, err := core.ConnectedNetworksVia(p, date, path, core.DefaultOptions())
 		if err != nil {
 			return err
@@ -303,7 +303,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		Paths      []ranking `json:"paths"`
 	}
 	var out resp
-	if !s.runQuery(w, r, func(p core.SnapshotProvider, g *generation) error {
+	if !s.runQuery(w, r, s.gen.Load(), func(p core.SnapshotProvider, g *generation) error {
 		ranks, err := core.RankNetworksVia(p, date, sites.CorridorPaths(), top, core.DefaultOptions())
 		if err != nil {
 			return err
@@ -359,8 +359,16 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 		Generation int64   `json:"generation"`
 		Points     []point `json:"points"`
 	}
+	// A name the generation never filed under is a 404, outside the
+	// breaker's accounting: answering it would memoize one empty
+	// snapshot per name, and a publish would carry them all over.
+	g := s.gen.Load()
+	if g != nil && !g.files(licensee) {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown licensee %q", licensee))
+		return
+	}
 	var out resp
-	if !s.runQuery(w, r, func(p core.SnapshotProvider, g *generation) error {
+	if !s.runQuery(w, r, g, func(p core.SnapshotProvider, g *generation) error {
 		pts, err := core.EvolutionVia(p, licensee, path, core.PaperSampleDates(from, to), core.DefaultOptions())
 		if err != nil {
 			return err
@@ -413,7 +421,7 @@ func (s *Server) handleAPA(w http.ResponseWriter, r *http.Request) {
 		Complementary []pairRow `json:"complementary_pairs"`
 	}
 	var out resp
-	if !s.runQuery(w, r, func(p core.SnapshotProvider, g *generation) error {
+	if !s.runQuery(w, r, s.gen.Load(), func(p core.SnapshotProvider, g *generation) error {
 		rows, err := core.ConnectedNetworksVia(p, date, path, core.DefaultOptions())
 		if err != nil {
 			return err

@@ -2,14 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"sync"
 	"time"
 
 	"hftnetview/internal/core"
-	"hftnetview/internal/engine"
 	"hftnetview/internal/sites"
 	"hftnetview/internal/store"
 	"hftnetview/internal/uls"
@@ -51,14 +49,6 @@ type PersistStatus struct {
 	// engine's memo store after the last warm start (0 until the
 	// background prewarm finishes).
 	Prewarmed int `json:"prewarmed,omitempty"`
-	// KeyframesLoaded counts the replay keyframes imported into the
-	// engine from the store's sidecar on the last warm start; keyframes
-	// are advisory, so a missing or mismatched sidecar just leaves this
-	// 0.
-	KeyframesLoaded int `json:"keyframes_loaded,omitempty"`
-	// KeyframesSaved counts the replay keyframes in the last exported
-	// sidecar.
-	KeyframesSaved int `json:"keyframes_saved,omitempty"`
 }
 
 // persistState is the server's attachment point for a store.
@@ -121,75 +111,10 @@ func (s *Server) WarmStart() (*store.RecoveryReport, error) {
 	s.persist.status.LastError = ""
 	s.publishMeta(db, fmt.Sprintf("store generation %d: %s", gi.ID, gi.Source), gi.ID, gi.CorpusSHA256)
 	// The corpus serves immediately; the rest of "fast" fills in the
-	// background: restore persisted replay keyframes first (so prewarm
-	// replays from them instead of from scratch), then prime the memo
-	// store with the default query surface.
-	go func() {
-		s.restoreKeyframes()
-		s.prewarmDefaults()
-	}()
+	// background by priming the memo store with the default query
+	// surface.
+	go s.prewarmDefaults()
 	return rep, nil
-}
-
-// restoreKeyframes seeds the live engine's replay tracks from the
-// store's keyframe sidecar for the recovered generation. Keyframes are
-// advisory: any failure (no sidecar, torn write, wrong corpus digest)
-// is a silent cold start for the replay path, never a boot problem.
-func (s *Server) restoreKeyframes() {
-	s.persist.mu.Lock()
-	st := s.persist.st
-	s.persist.mu.Unlock()
-	g := s.gen.Load()
-	if st == nil || g == nil || g.storeGen <= 0 || g.digest == "" {
-		return
-	}
-	payload, err := st.LoadKeyframes(g.storeGen)
-	if err != nil {
-		return
-	}
-	var kf engine.KeyframeExport
-	if json.Unmarshal(payload, &kf) != nil || kf.CorpusSHA256 != g.digest {
-		return
-	}
-	n := g.eng.ImportKeyframes(kf)
-	if n > 0 {
-		log.Printf("serve: restored %d replay keyframes for store generation %d", n, g.storeGen)
-	}
-	s.persist.mu.Lock()
-	s.persist.status.KeyframesLoaded = n
-	s.persist.mu.Unlock()
-}
-
-// exportKeyframes persists the live engine's replay keyframes next to
-// the generation they were computed against. Best-effort by design —
-// a failure costs the next boot's warm replay, nothing else.
-func (s *Server) exportKeyframes() {
-	s.persist.mu.Lock()
-	st := s.persist.st
-	s.persist.mu.Unlock()
-	g := s.gen.Load()
-	if st == nil || g == nil || g.storeGen <= 0 || g.digest == "" {
-		return
-	}
-	kf := g.eng.ExportKeyframes(g.digest)
-	if len(kf.Tracks) == 0 {
-		return
-	}
-	count := 0
-	for _, t := range kf.Tracks {
-		count += len(t.Keyframes)
-	}
-	payload, err := json.Marshal(kf)
-	if err != nil {
-		return
-	}
-	if err := st.SaveKeyframes(g.storeGen, payload); err != nil {
-		log.Printf("serve: exporting %d replay keyframes failed (ignored): %v", count, err)
-		return
-	}
-	s.persist.mu.Lock()
-	s.persist.status.KeyframesSaved = count
-	s.persist.mu.Unlock()
 }
 
 // prewarmDefaults primes the live generation's engine with the default
@@ -276,13 +201,10 @@ func (s *Server) PublishStoreGeneration(db *uls.Database, gi *store.GenInfo) {
 }
 
 // CloseStore detaches and closes the attached store, sweeping any temp
-// debris a crashed or failed save left behind. The live engine's
-// replay keyframes are exported first, so the next boot of this data
-// directory replays warm. Idempotent, and a no-op when no store is
-// attached; wired into graceful shutdown so a terminating service
-// never strands temp directories.
+// debris a crashed or failed save left behind. Idempotent, and a no-op
+// when no store is attached; wired into graceful shutdown so a
+// terminating service never strands temp directories.
 func (s *Server) CloseStore() error {
-	s.exportKeyframes()
 	s.persist.mu.Lock()
 	st := s.persist.st
 	s.persist.st = nil

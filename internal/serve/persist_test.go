@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"net/url"
@@ -292,72 +294,65 @@ func TestShutdownSweepsPersistDebris(t *testing.T) {
 	}
 }
 
-// TestKeyframePersistRoundTrip: a serving process's replay keyframes
-// survive a restart — CloseStore exports them next to the generation,
-// and the next WarmStart of the same data directory imports them into
-// the fresh engine (verified by digest) before prewarming.
-func TestKeyframePersistRoundTrip(t *testing.T) {
+// TestWarmStartSweepsLegacyKeyframes: a store written by an earlier
+// release holds a replay keyframe sidecar (KF-NNNNNN.dat, one
+// CRC32C-framed JSON block) next to its generation. Open removes it and
+// leaves a clean store, and the warm-started server answers
+// /v1/evolution byte for byte like a cold server over the same corpus.
+func TestWarmStartSweepsLegacyKeyframes(t *testing.T) {
 	dir := t.TempDir()
 	seed, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seed.Save(corpus(t), "seeded by test"); err != nil {
+	gi, err := seed.Save(corpus(t), "seeded by test")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	boot := func() *Server {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Interval 1 keyframes every event, so even short replays leave
-		// state worth persisting.
-		s := New(Config{KeyframeInterval: 1})
-		s.AttachStore(st)
-		if _, err := s.WarmStart(); err != nil {
-			t.Fatalf("warm start: %v", err)
-		}
-		return s
-	}
-
-	s1 := boot()
-	// Drive the delta path so the engine accumulates keyframes.
-	licensee := corpus(t).Licensees()[0]
-	rec := get(t, s1.Handler(), "/v1/evolution?licensee="+url.QueryEscape(licensee))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/evolution = %d, body %s", rec.Code, rec.Body.String())
-	}
-	if err := s1.CloseStore(); err != nil {
+	payload := []byte(`{"corpus_sha256":"` + gi.CorpusSHA256 + `","keyframe_interval":16,` +
+		`"tracks":[{"licensees":["New Line Networks"],"keyframes":[{"event_index":16,"call_signs":["WQAA000"]}]}]}`)
+	frame := []byte("HFTSEG1\n")
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	legacy := filepath.Join(dir, fmt.Sprintf("KF-%06d.dat", gi.ID))
+	if err := os.WriteFile(legacy, append(frame, payload...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	saved := s1.PersistStatus().KeyframesSaved
-	if saved == 0 {
-		t.Fatal("CloseStore exported no keyframes after an evolution sweep")
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("legacy keyframe file survived Open (stat err %v)", err)
+	}
+	rep, err := st.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Orphans) != 0 {
+		t.Fatalf("fsck after the sweep: %+v", rep)
 	}
 
-	s2 := boot()
-	defer s2.CloseStore()
-	deadline := time.Now().Add(30 * time.Second)
-	for s2.PersistStatus().KeyframesLoaded == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("restart imported no keyframes (first run saved %d)", saved)
+	warm := New(Config{})
+	warm.AttachStore(st)
+	defer warm.CloseStore()
+	if _, err := warm.WarmStart(); err != nil {
+		t.Fatalf("warm start: %v", err)
+	}
+	cold := testServer(t, Config{})
+	for _, licensee := range []string{"New Line Networks", corpus(t).Licensees()[0]} {
+		u := "/v1/evolution?licensee=" + url.QueryEscape(licensee)
+		got := get(t, warm.Handler(), u)
+		want := get(t, cold.Handler(), u)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("%s: warm %d, cold %d", u, got.Code, want.Code)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := s2.PersistStatus().KeyframesLoaded; got != saved {
-		t.Fatalf("restart imported %d keyframes, first run saved %d", got, saved)
-	}
-
-	// The imported state must serve correct results.
-	rec2 := get(t, s2.Handler(), "/v1/evolution?licensee="+url.QueryEscape(licensee))
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("post-import /v1/evolution = %d", rec2.Code)
-	}
-	if rec2.Body.String() != rec.Body.String() {
-		t.Fatal("evolution response changed across keyframe persist round trip")
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("%s: warm-started answer differs from a cold server's:\nwarm %s\ncold %s", u, got.Body, want.Body)
+		}
 	}
 }

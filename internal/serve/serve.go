@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,9 +59,6 @@ type Config struct {
 	// (default: RequestTimeout; the per-request context usually fires
 	// first, this is the backstop for requests without deadlines).
 	RebuildTimeout time.Duration
-	// KeyframeInterval tunes each generation engine's replay keyframe
-	// spacing in events (default: the engine's own default).
-	KeyframeInterval int
 	// WatchMaxStreams bounds concurrently open /v1/watch replay
 	// streams; excess requests are shed with 503 (default 64).
 	WatchMaxStreams int
@@ -218,9 +216,6 @@ func (s *Server) publishMeta(db *uls.Database, source string, storeGen int64, di
 	if s.cfg.EngineWorkers > 0 {
 		opts = append(opts, engine.WithWorkers(s.cfg.EngineWorkers))
 	}
-	if s.cfg.KeyframeInterval > 0 {
-		opts = append(opts, engine.WithKeyframeInterval(s.cfg.KeyframeInterval))
-	}
 	eng := engine.New(db, opts...)
 	// Consecutive corpora usually differ in a few licensees: carry the
 	// rest of the memo over, so the reads after the swap stay hits.
@@ -305,6 +300,13 @@ func (g *generation) info() generationInfo {
 		CorpusSHA256:    g.digest,
 		AgeSeconds:      time.Since(g.loadedAt).Seconds(),
 	}
+}
+
+// files reports whether licensee files in this generation's corpus.
+// The name list is cached per database, so the check copies nothing.
+func (g *generation) files(licensee string) bool {
+	_, ok := slices.BinarySearch(g.db.Licensees(), licensee)
+	return ok
 }
 
 // ServeStats is the /statsz payload: serving counters, the live

@@ -78,7 +78,7 @@ func TestSnapshotEndpointMatchesDirect(t *testing.T) {
 	}
 	got := decode[snapshotResp](t, rec)
 
-	want, err := core.ConnectedNetworks(corpus(t),
+	want, err := core.ConnectedNetworksVia(core.DirectProvider(corpus(t)),
 		uls.NewDate(2020, time.April, 1),
 		sites.Path{From: sites.CME, To: sites.NY4}, core.DefaultOptions())
 	if err != nil {
@@ -209,6 +209,76 @@ func TestBadParams(t *testing.T) {
 	url := fmt.Sprintf("/v1/evolution?licensee=New+Line+Networks&from=%d&to=%d", minQueryYear, maxQueryYear)
 	if rec := get(t, h, url); rec.Code != http.StatusOK {
 		t.Errorf("%s: status = %d, want 200", url, rec.Code)
+	}
+}
+
+// TestUnknownLicenseeNotFound: a licensee the serving corpus never
+// filed under is a 404 on the two per-licensee endpoints — names match
+// exactly, case included. The check runs before the circuit breaker:
+// with the breaker open, known names shed with 503 but unknown ones
+// still answer 404, and no 404 counts as an engine failure.
+func TestUnknownLicenseeNotFound(t *testing.T) {
+	s := testServer(t, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	h := s.Handler()
+	urls := []string{
+		"/v1/evolution?licensee=X",
+		"/v1/evolution?licensee=No+Such+Networks&path=CME-NYSE&from=2016&to=2018",
+		"/v1/evolution?licensee=new+line+networks",
+		"/v1/watch?licensee=X",
+		"/v1/watch?licensee=No+Such+Networks&from=2016&speed=0",
+	}
+	check := func() {
+		t.Helper()
+		for _, url := range urls {
+			if rec := get(t, h, url); rec.Code != http.StatusNotFound {
+				t.Errorf("%s: status = %d, want 404", url, rec.Code)
+			}
+		}
+	}
+	check()
+	if st := s.Stats(); st.Failures != 0 || st.Breaker.Consecutive != 0 {
+		t.Errorf("404s reached the breaker: %+v, %d engine failures", st.Breaker, st.Failures)
+	}
+
+	done, err := s.breaker.Allow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done(true) // one failure trips a threshold-1 breaker
+	if rec := get(t, h, "/v1/evolution?licensee=New+Line+Networks"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("known licensee with the breaker open: status = %d, want 503", rec.Code)
+	}
+	check()
+}
+
+// TestUnknownLicenseeNoMemo gates the memo bound (make bench-gate):
+// 2,000 distinct unknown names on /v1/evolution and /v1/watch add no
+// memo entry, so a publish carries over only what the known names
+// built. The count is deterministic; answering the names would add one
+// entry per name and request shape.
+func TestUnknownLicenseeNoMemo(t *testing.T) {
+	s := testServer(t, Config{})
+	h := s.Handler()
+	if rec := get(t, h, "/v1/evolution?licensee=New+Line+Networks"); rec.Code != http.StatusOK {
+		t.Fatalf("known licensee: status %d", rec.Code)
+	}
+	warm := s.Stats().Engine.Entries
+	for i := 0; i < 2000; i++ {
+		name := fmt.Sprintf("Unknown+Licensee+%04d", i)
+		for _, u := range []string{"/v1/evolution?licensee=" + name, "/v1/watch?speed=0&licensee=" + name} {
+			if rec := get(t, h, u); rec.Code != http.StatusNotFound {
+				t.Fatalf("%s: status %d, want 404", u, rec.Code)
+			}
+		}
+	}
+	st := s.Stats().Engine
+	t.Logf("memo: %d entries after one known and 2,000 unknown licensees (%d before the unknown ones)", st.Entries, warm)
+	if st.Entries != warm {
+		t.Fatalf("unknown licensees grew the memo from %d to %d entries", warm, st.Entries)
+	}
+	s.SetCorpus(corpus(t), "same corpus again")
+	if got := s.Stats().Engine.Inherited; got != int64(warm) {
+		t.Fatalf("publish carried over %d entries, want %d", got, warm)
 	}
 }
 

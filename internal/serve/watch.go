@@ -231,6 +231,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resumeAfter = ps
 	}
+	if !g.files(licensee) {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown licensee %q", licensee))
+		return
+	}
 
 	// Refuse new streams once draining, and bound concurrent streams
 	// with the watch semaphore (non-blocking: a replay is not worth

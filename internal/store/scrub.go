@@ -329,8 +329,8 @@ func (s *Store) repairSegment(id int64, si SegmentInfo, data []byte) (quarantine
 	return quarantined, nil
 }
 
-// QuarantineGeneration moves one committed generation — manifest,
-// segment directory, keyframe sidecar — into the store's quarantine/
+// QuarantineGeneration moves one committed generation — manifest and
+// segment directory — into the store's quarantine/
 // subdirectory, uncommitting it. The manifest moves first, so a crash
 // mid-quarantine leaves at worst an orphan segment directory, which
 // GC already sweeps. Quarantined artifacts are invisible to Load,
@@ -350,7 +350,7 @@ func (s *Store) QuarantineGeneration(id int64) error {
 		return fmt.Errorf("store: creating quarantine dir: %w", err)
 	}
 	moved := false
-	for _, name := range []string{manifestName(id), genDirName(id), keyframeName(id)} {
+	for _, name := range []string{manifestName(id), genDirName(id)} {
 		src := filepath.Join(s.dir, name)
 		if _, err := os.Stat(src); err != nil {
 			continue

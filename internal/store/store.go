@@ -220,7 +220,9 @@ func (s *Store) Close() error {
 
 // sweepTemp removes in-progress artifacts: tmp-gen-* directories and
 // MANIFEST-*.json.tmp files. They are never read by recovery, so
-// removing them is always safe.
+// removing them is always safe. KF-* files are replay keyframe
+// sidecars earlier releases wrote next to each generation; nothing
+// reads them any more, so they go too.
 func (s *Store) sweepTemp() {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -230,7 +232,7 @@ func (s *Store) sweepTemp() {
 		name := e.Name()
 		if strings.HasPrefix(name, "tmp-gen-") ||
 			(strings.HasPrefix(name, "MANIFEST-") && strings.HasSuffix(name, ".json.tmp")) ||
-			(strings.HasPrefix(name, "KF-") && strings.HasSuffix(name, ".dat.tmp")) {
+			strings.HasPrefix(name, "KF-") {
 			os.RemoveAll(filepath.Join(s.dir, name))
 		}
 	}
@@ -814,7 +816,6 @@ func (s *Store) GC(keep int) ([]int64, error) {
 			os.RemoveAll(filepath.Join(s.dir, name))
 		}
 	}
-	s.sweepKeyframes(kept)
 	s.sweepTemp()
 	// Staging areas for generations that have since been committed are
 	// spent; uncommitted ones may be in-flight pulls and are kept.

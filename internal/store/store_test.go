@@ -271,6 +271,53 @@ func TestOpenSweepsTempDebris(t *testing.T) {
 	}
 }
 
+// TestKeyframeGCSweep: the replay keyframe sidecars earlier releases
+// wrote next to each generation (KF-NNNNNN.dat, committed through a
+// .tmp) are removed by GC and by Open, whichever generation they name;
+// the generations themselves are untouched.
+func TestKeyframeGCSweep(t *testing.T) {
+	db := corpus(t)
+	dir := t.TempDir()
+	s := open(t, dir)
+	gi, err := s.Save(db, "gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func() []string {
+		names := []string{"KF-000001.dat", "KF-000999.dat", "KF-000002.dat.tmp"}
+		for _, n := range names {
+			if err := os.WriteFile(filepath.Join(dir, n), []byte("kf"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return names
+	}
+	swept := func(by string, names []string) {
+		t.Helper()
+		for _, n := range names {
+			if _, err := os.Stat(filepath.Join(dir, n)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s left legacy keyframe file %s (stat err %v)", by, n, err)
+			}
+		}
+	}
+
+	names := plant()
+	if removed, err := s.GC(1); err != nil || len(removed) != 0 {
+		t.Fatalf("GC = %v, %v; want no generation removed", removed, err)
+	}
+	swept("GC", names)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	names = plant()
+	s = open(t, dir)
+	swept("Open", names)
+	if _, lgi, _, err := s.Load(); err != nil || lgi.ID != gi.ID {
+		t.Fatalf("Load after the sweep = %+v, %v; want generation %d", lgi, err, gi.ID)
+	}
+}
+
 func TestFsck(t *testing.T) {
 	db := corpus(t)
 	dir := t.TempDir()

@@ -88,7 +88,7 @@ func TestCandidateFunnel(t *testing.T) {
 func TestTable1ConnectedNetworks(t *testing.T) {
 	d := db(t)
 	path := sites.Path{From: sites.CME, To: sites.NY4}
-	rows, err := core.ConnectedNetworks(d, snapshot, path, core.DefaultOptions())
+	rows, err := core.ConnectedNetworksVia(core.DirectProvider(d), snapshot, path, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTable1ConnectedNetworks(t *testing.T) {
 
 func TestTable2Rankings(t *testing.T) {
 	d := db(t)
-	ranks, err := core.RankNetworks(d, snapshot, sites.CorridorPaths(), 3, core.DefaultOptions())
+	ranks, err := core.RankNetworksVia(core.DirectProvider(d), snapshot, sites.CorridorPaths(), 3, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFig1LatencyEvolution(t *testing.T) {
 	dates := core.PaperSampleDates(2013, 2020)
 
 	evo := func(name string) []core.EvolutionPoint {
-		pts, err := core.Evolution(d, name, path, dates, opts)
+		pts, err := core.EvolutionVia(core.DirectProvider(d), name, path, dates, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

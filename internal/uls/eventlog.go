@@ -7,13 +7,12 @@ import (
 // Temporal event log (§4). The date-interval index answers "who was
 // active on date D" as a stabbing query; the event log is the dual
 // view: the corpus as a sorted stream of grant/cancel/expire events.
-// Longitudinal analyses that sweep many dates — and the streaming
-// replay endpoint — advance a cursor over this log instead of issuing
-// one stabbing query per date: between two consecutive events the
-// active set cannot change, so every date in the gap shares one
-// snapshot, and the set at event i+1 is the set at event i patched by
-// one event. Like the other derived indexes, the log is built lazily
-// on first use and invalidated by database mutation.
+// Between two consecutive events the active set cannot change, so
+// every date in the gap shares one snapshot: the snapshot engine keys
+// its memo by a date's anchor (AnchorDate), the streaming replay
+// endpoint emits one frame per event date, and per-date license counts
+// come from prefix sums. Like the other derived indexes, the log is
+// built lazily on first use and invalidated by database mutation.
 
 // EventKind classifies one lifecycle transition.
 type EventKind uint8
@@ -46,8 +45,8 @@ func (k EventKind) Activates() bool { return k == EventGrant }
 // Event is one lifecycle transition: from Date (inclusive) onward the
 // license is active (EventGrant) or no longer active (EventCancel /
 // EventExpire). Applying, in order, every event with Date ≤ d to an
-// empty set yields exactly the ActiveAt(d) set — the replay identity
-// the delta snapshot engine is built on.
+// empty set yields exactly the ActiveAt(d) set — the identity anchor
+// re-keying relies on: no set changes between two event dates.
 type Event struct {
 	Date    Date
 	Kind    EventKind
@@ -157,12 +156,6 @@ func (el *EventLog) CursorAt(licensee string, d Date) int {
 	return cursorAt(el.seq(licensee).events, d)
 }
 
-// EventCursorAt is CursorAt over a caller-held event slice (e.g. a
-// MergedEvents stream): the number of events with Date ≤ d.
-func EventCursorAt(events []Event, d Date) int {
-	return cursorAt(events, d)
-}
-
 func cursorAt(events []Event, d Date) int {
 	key := dateKey(d)
 	return sort.Search(len(events), func(i int) bool {
@@ -191,31 +184,6 @@ func (el *EventLog) ActiveCount(licensee string, d Date) int {
 		return 0
 	}
 	return int(s.active[cursorAt(s.events, d)])
-}
-
-// MergedEvents returns one sorted stream combining the named
-// licensees' events (names must be distinct; an empty list or a ""
-// entry selects the whole database). The slice is freshly allocated
-// except in the whole-database and single-licensee cases, where the
-// shared slice is returned.
-func (el *EventLog) MergedEvents(licensees []string) []Event {
-	if len(licensees) == 0 {
-		return el.all.events
-	}
-	for _, name := range licensees {
-		if name == "" {
-			return el.all.events
-		}
-	}
-	if len(licensees) == 1 {
-		return el.seq(licensees[0]).events
-	}
-	var merged []Event
-	for _, name := range licensees {
-		merged = append(merged, el.seq(name).events...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return eventLess(merged[i], merged[j]) })
-	return merged
 }
 
 // EventLog returns the lazily built temporal event log (mirrors the

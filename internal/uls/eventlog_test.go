@@ -82,7 +82,8 @@ func TestEventLogOrderingAndKinds(t *testing.T) {
 
 // TestEventLogReplayMatchesStab is the core identity: applying events
 // with date ≤ d reproduces ActiveAt(d) exactly, for every event
-// boundary, the day before, and the day after.
+// boundary, the day before, and the day after. It is the rule anchor
+// re-keying relies on: the active set changes only on event dates.
 func TestEventLogReplayMatchesStab(t *testing.T) {
 	db := elTestDB(t)
 	log := db.EventLog()
@@ -160,24 +161,6 @@ func TestEventLogAnchorDate(t *testing.T) {
 	// Per-licensee streams anchor independently.
 	if a := log.AnchorDate("Gamma", MustParseDate("01/01/2018")); !a.IsZero() {
 		t.Fatalf("Gamma anchor before its grant = %v, want zero", a)
-	}
-}
-
-func TestEventLogMergedEvents(t *testing.T) {
-	db := elTestDB(t)
-	log := db.EventLog()
-	merged := log.MergedEvents([]string{"Beta", "Alpha"})
-	want := len(log.Events("Alpha")) + len(log.Events("Beta"))
-	if len(merged) != want {
-		t.Fatalf("merged %d events, want %d", len(merged), want)
-	}
-	for i := 1; i < len(merged); i++ {
-		if eventLess(merged[i], merged[i-1]) {
-			t.Fatalf("merged stream out of order at %d", i)
-		}
-	}
-	if got := log.MergedEvents(nil); len(got) != len(log.Events("")) {
-		t.Fatalf("MergedEvents(nil) = %d events, want whole database", len(got))
 	}
 }
 
