@@ -32,6 +32,11 @@
 // download doubles replication traffic for latency nobody is waiting
 // on, so they fail over sequentially instead.
 //
+// A /v1/watch replay streams through frame by frame, never buffered,
+// hedged or cut off by -request-timeout (which bounds only the wait for
+// a replica's answer); shutdown ends open streams, which clients resume
+// with Last-Event-ID.
+//
 // Usage:
 //
 //	hftfront [-replica r1=http://host1:8090 ...]
@@ -131,6 +136,7 @@ func main() {
 	log.Printf("hftfront: fronting %d static replica(s) on %s (staleness bound %d, lease TTL %v, min healthy %d, hedge %v)",
 		len(replicas), *addr, *stalenessBound, *leaseTTL, *minHealthy, *hedgeAfter)
 	httpSrv := &http.Server{Addr: *addr, Handler: f.Handler()}
+	httpSrv.RegisterOnShutdown(cancel) // ending Run ends relayed /v1/watch streams, so the drain need not sit them out
 	err := serve.ListenAndServeGraceful(httpSrv, serve.GracefulOptions{
 		DrainTimeout: *drainTimeout,
 		OnHUP:        func() { log.Printf("hftfront: SIGHUP ignored (nothing to reload)") },

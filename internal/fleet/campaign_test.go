@@ -7,29 +7,24 @@ import (
 )
 
 // Campaign is the multi-fault chaos driver: a seeded loop that
-// composes faults the individual soaks only apply in isolation.
-// Each round it draws a random subset of the fault palette, injects
-// them together, holds, heals them all, and gives the fleet a
-// quiescent window to converge — in which OnRoundHealed runs the
-// test's convergence assertions (ring membership restored, staleness
-// back in bounds) before the next round begins. Everything is
-// deterministic in Seed, so a failing campaign replays.
+// composes faults together. Each round it draws a random subset of the
+// fault palette, injects them together, holds, heals them all, and
+// gives the fleet a quiescent window to converge — in which
+// OnRoundHealed runs the test's convergence assertions before the next
+// round begins. Everything is deterministic in Seed, so a failing
+// campaign replays its fault schedule.
 type Campaign struct {
-	// Seed drives every random choice (which faults, how long).
-	Seed uint64
+	Seed uint64 // drives every random choice (which faults, how long)
 	// Faults is the palette. Inject and Heal must be idempotent and
 	// safe regardless of fleet state — a fault may find its target
 	// replica already killed by a sibling fault.
 	Faults []Fault
-	// MinActive..MaxActive bounds the faults drawn per round
-	// (defaults 1..min(3, len(Faults))).
-	MinActive, MaxActive int
-	// HoldMin..HoldMax bounds how long a round's faults stay injected
-	// (defaults 200ms..600ms).
+	// Each round draws 1..MaxActive faults (default min(3, len(Faults)))
+	// and holds them HoldMin..HoldMax (HoldMax >= HoldMin). Settle is a
+	// quiescent window after the heal, before OnRoundHealed.
+	MaxActive        int
 	HoldMin, HoldMax time.Duration
-	// Settle is the quiescent window after healing, before
-	// OnRoundHealed (default 0 — the hook does its own waiting).
-	Settle time.Duration
+	Settle           time.Duration
 	// OnRoundHealed, when set, runs after each round heals: the place
 	// for convergence assertions. Returning false stops the campaign.
 	OnRoundHealed func(round int, injected []string) bool
@@ -49,28 +44,15 @@ type Fault struct {
 // whatever the test does next.
 func (c *Campaign) Run(ctx context.Context) int {
 	rng := rand.New(rand.NewPCG(c.Seed, c.Seed^0x9e3779b97f4a7c15|1))
-	minA, maxA := c.MinActive, c.MaxActive
-	if minA <= 0 {
-		minA = 1
-	}
+	maxA := c.MaxActive
 	if maxA <= 0 || maxA > len(c.Faults) {
 		maxA = min(3, len(c.Faults))
-	}
-	if maxA < minA {
-		maxA = minA
-	}
-	holdMin, holdMax := c.HoldMin, c.HoldMax
-	if holdMin <= 0 {
-		holdMin = 200 * time.Millisecond
-	}
-	if holdMax < holdMin {
-		holdMax = holdMin + 400*time.Millisecond
 	}
 
 	rounds := 0
 	for ctx.Err() == nil && len(c.Faults) > 0 {
 		// Draw this round's faults: a partial shuffle of the palette.
-		k := minA + rng.IntN(maxA-minA+1)
+		k := 1 + rng.IntN(maxA)
 		idx := rng.Perm(len(c.Faults))[:k]
 		names := make([]string, 0, k)
 		for _, i := range idx {
@@ -78,7 +60,7 @@ func (c *Campaign) Run(ctx context.Context) int {
 			c.Faults[i].Inject()
 		}
 
-		hold := holdMin + time.Duration(rng.Int64N(int64(holdMax-holdMin)+1))
+		hold := c.HoldMin + time.Duration(rng.Int64N(int64(c.HoldMax-c.HoldMin)+1))
 		select {
 		case <-ctx.Done():
 		case <-time.After(hold):

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -30,8 +31,9 @@ import (
 // client and corrupts segment downloads with mutations drawn from a
 // synth corruption profile's weights. A Partitioner is a network
 // partition at the transport layer: requests to blocked hosts fail
-// without a packet sent. A SlowGate makes a replica slow or hung
-// without killing it. The Campaign runner (campaign.go) composes
+// without a packet sent. A SkewTransport shifts the clock a replica
+// reports in its announces. A SlowGate makes a replica slow or hung
+// without killing it. The Campaign runner (campaign_test.go) composes
 // these into seeded multi-fault rounds.
 
 // ChaosReplica is one killable, restartable replica.
@@ -69,9 +71,7 @@ type ChaosReplica struct {
 	// boots an announcer against this front-tier URL; Kill abandons it
 	// mid-lease. AnnounceTransport underlies the announce client
 	// (inject a Partitioner to cut the replica off from the front);
-	// AnnounceInterval overrides the front-suggested heartbeat. The
-	// paused/skew knobs live on the ChaosReplica — not the announcer —
-	// so they survive kill/restart cycles.
+	// AnnounceInterval overrides the front-suggested heartbeat.
 	Front             string
 	AnnounceTransport http.RoundTripper
 	AnnounceInterval  time.Duration
@@ -79,9 +79,6 @@ type ChaosReplica struct {
 	// Gate, when set, wraps the replica's handler — the campaign dials
 	// it to make this replica slow or hung without killing it.
 	Gate *SlowGate
-
-	announcePaused atomic.Bool
-	skewNanos      atomic.Int64
 
 	mu             sync.Mutex
 	addr           string
@@ -100,16 +97,6 @@ type ChaosReplica struct {
 	cum            PullStatus        // accumulated across kills; a restart starts a fresh Puller
 	cumScrub       store.ScrubStatus // likewise for the scrubber
 }
-
-// SetAnnouncePaused stops (true) or resumes (false) lease renewals
-// without touching the process — the "replica silently stops
-// heartbeating" fault. Persists across Kill/Start.
-func (r *ChaosReplica) SetAnnouncePaused(paused bool) { r.announcePaused.Store(paused) }
-
-// SetSkew offsets the announce timestamps by d — the clock-skew fault.
-// The front must keep granting leases regardless. Persists across
-// Kill/Start.
-func (r *ChaosReplica) SetSkew(d time.Duration) { r.skewNanos.Store(int64(d)) }
 
 // Announcer returns the live announcer (nil while killed or when no
 // Front is configured).
@@ -268,8 +255,6 @@ func (r *ChaosReplica) Start() error {
 			Client:        annClient,
 			// LeaveOnExit stays false: Kill is a crash, and the lease
 			// lapsing unannounced is the behavior under test.
-			Paused: r.announcePaused.Load,
-			Skew:   func() time.Duration { return time.Duration(r.skewNanos.Load()) },
 		})
 		actx, acancel := context.WithCancel(context.Background())
 		adone := make(chan struct{})
@@ -651,6 +636,41 @@ func hostOf(u string) string {
 		return parsed.Host
 	}
 	return u
+}
+
+// SkewTransport shifts the sent_at timestamp of every /v1/fleet/join
+// body passing through it by an adjustable offset: the clock-skew
+// fault. Leases live on the front's clock, so the front must keep
+// granting them regardless.
+type SkewTransport struct {
+	offset atomic.Int64 // nanoseconds
+}
+
+// Set makes the announcing replica's clock run d fast (slow if d < 0).
+func (s *SkewTransport) Set(d time.Duration) { s.offset.Store(int64(d)) }
+
+// Offset reports the current clock offset.
+func (s *SkewTransport) Offset() time.Duration { return time.Duration(s.offset.Load()) }
+
+func (s *SkewTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if d := s.Offset(); d != 0 && req.URL.Path == fleetPrefix+"join" {
+		var body joinRequest
+		err := json.NewDecoder(req.Body).Decode(&body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if at, err := time.Parse(time.RFC3339Nano, body.SentAt); err == nil {
+			body.SentAt = at.Add(d).Format(time.RFC3339Nano)
+		}
+		payload, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		req = req.Clone(req.Context())
+		req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(payload)), int64(len(payload))
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // SlowGate makes a handler slow or hung without killing the process:

@@ -47,23 +47,24 @@ func alteredCorpus(t testing.TB) *uls.Database {
 	return db
 }
 
-// newPrimary opens a store in a temp dir, saves the shared corpus as
-// one generation, and serves the shipping endpoints over httptest.
-// Returns the store, the shipping base URL, and the server for
-// shutdown control.
-func newPrimary(t testing.TB) (*store.Store, string, *httptest.Server) {
+// newPrimary opens a store in a temp dir with the given segment target,
+// saves db as one generation, and serves the shipping endpoints over
+// httptest. Returns the store, the generation, and the shipping base
+// URL.
+func newPrimary(t testing.TB, db *uls.Database, segmentTarget int) (*store.Store, *store.GenInfo, string) {
 	t.Helper()
-	st, err := store.Open(t.TempDir(), store.WithSegmentTarget(32<<10), store.WithBlockLicenses(8))
+	st, err := store.Open(t.TempDir(), store.WithSegmentTarget(segmentTarget), store.WithBlockLicenses(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	if _, err := st.Save(corpus(t), "primary seed"); err != nil {
+	gi, err := st.Save(db, "primary seed")
+	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewShipper(st))
 	t.Cleanup(srv.Close)
-	return st, srv.URL, srv
+	return st, gi, srv.URL
 }
 
 // newReplica wires a puller-backed replica over its own store and

@@ -45,7 +45,7 @@ type FrontConfig struct {
 	// loser is canceled (default 150ms).
 	HedgeAfter time.Duration
 	// RequestTimeout bounds one client request end to end, across all
-	// attempts (default 15s).
+	// attempts (default 15s), or a /v1/watch attempt's wait for its head.
 	RequestTimeout time.Duration
 	// RetryAfter is the base hint on shed responses; the emitted
 	// header is jittered to break up retry waves (default 1s).
@@ -364,6 +364,10 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 		f.shed(w, fmt.Sprintf("healthy members %d below floor %d", healthy, f.cfg.MinHealthy))
 		return
 	}
+	if r.URL.Path == "/v1/watch" {
+		f.streamWatch(w, r, cands)
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
 	defer cancel()
 
@@ -377,14 +381,59 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 		f.shed(w, "all replicas failed")
 		return
 	}
-	for k, vs := range resp.header {
+	writeHead(w, resp.header, resp.replica, resp.status)
+	w.Write(resp.body)
+}
+
+// writeHead relays a replica's status and headers, naming the replica.
+func writeHead(w http.ResponseWriter, hdr http.Header, replica string, status int) {
+	for k, vs := range hdr {
 		for _, v := range vs {
 			w.Header().Add(k, v)
 		}
 	}
-	w.Header().Set("X-Fleet-Replica", resp.replica)
-	w.WriteHeader(resp.status)
-	w.Write(resp.body)
+	w.Header().Set("X-Fleet-Replica", replica)
+	w.WriteHeader(status)
+}
+
+// streamWatch relays a /v1/watch replay from the first candidate in
+// ring order to answer below 500 within RequestTimeout, flushing each
+// frame as it arrives. The replay itself has no deadline (a client
+// Timeout would cover the body too): the replica's stream limit and
+// drain bound it, and so does Run's context, so a shutdown drains.
+func (f *Front) streamWatch(w http.ResponseWriter, r *http.Request, cands []Replica) {
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(f.runCtx(), cancel)()
+	client := &http.Client{Transport: f.cfg.Client.Transport}
+	for _, rep := range cands {
+		f.counters.proxied.Add(1)
+		attempt, abandon := context.WithCancel(ctx)
+		head := time.AfterFunc(f.cfg.RequestTimeout, abandon) // a hung replica never answers
+		resp, err := forward(attempt, client, rep, r.URL.RequestURI(), r.Header)
+		if head.Stop() && err == nil && passable(resp.StatusCode) {
+			writeHead(w, resp.Header, rep.Name, resp.StatusCode)
+			_, _ = io.Copy(flushWriter{w}, resp.Body) // ends with the replay, or when either side drops
+			resp.Body.Close()
+			return
+		}
+		if err == nil {
+			resp.Body.Close()
+		}
+		abandon()
+	}
+	f.shed(w, "all replicas failed")
+}
+
+// flushWriter flushes every write through to the client.
+type flushWriter struct{ http.ResponseWriter }
+
+func (fw flushWriter) Write(p []byte) (int, error) {
+	n, err := fw.ResponseWriter.Write(p)
+	if err == nil {
+		err = http.NewResponseController(fw.ResponseWriter).Flush()
+	}
+	return n, err
 }
 
 // hedgedFetch tries candidates in order. One attempt runs at a time
@@ -473,10 +522,12 @@ var hopByHop = map[string]bool{
 // surface stays exactly one status wide.
 func passable(status int) bool { return status < 500 }
 
-func (f *Front) attempt(ctx context.Context, rep Replica, uri string, hdr http.Header) *bufferedResp {
+// forward sends rep the GET for uri through client, carrying every
+// end-to-end header of the client's request.
+func forward(ctx context.Context, client *http.Client, rep Replica, uri string, hdr http.Header) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.URL+uri, nil)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	for k, vs := range hdr {
 		if hopByHop[http.CanonicalHeaderKey(k)] || k == "Host" {
@@ -484,7 +535,11 @@ func (f *Front) attempt(ctx context.Context, rep Replica, uri string, hdr http.H
 		}
 		req.Header[http.CanonicalHeaderKey(k)] = vs
 	}
-	resp, err := f.cfg.Client.Do(req)
+	return client.Do(req)
+}
+
+func (f *Front) attempt(ctx context.Context, rep Replica, uri string, hdr http.Header) *bufferedResp {
+	resp, err := forward(ctx, f.cfg.Client, rep, uri, hdr)
 	if err != nil {
 		return nil
 	}

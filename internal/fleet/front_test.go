@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,7 +76,7 @@ func liveReplica(t *testing.T, primary string) (string, *Puller) {
 // failover when the key's owner dies, and a jittered 503 shed when
 // nobody is left.
 func TestFrontRoutingFailoverShed(t *testing.T) {
-	_, base, _ := newPrimary(t)
+	_, _, base := newPrimary(t, corpus(t), 32<<10)
 	urls := make(map[string]string)
 	for _, name := range []string{"r1", "r2", "r3"} {
 		urls[name], _ = liveReplica(t, base)
@@ -188,7 +191,7 @@ func closeReplicaServer(t *testing.T, url string) {
 // than StalenessBound behind the primary is excluded from routing even
 // though it answers /readyz, and readmitted once it catches up.
 func TestFrontStalenessExclusion(t *testing.T) {
-	pst, base, _ := newPrimary(t)
+	pst, _, base := newPrimary(t, corpus(t), 32<<10)
 	repURL, puller := liveReplica(t, base)
 
 	f := NewFront(FrontConfig{
@@ -235,4 +238,142 @@ func TestFrontStalenessExclusion(t *testing.T) {
 		t.Fatalf("catch-up pull = (%v, %v)", installed, err)
 	}
 	waitFor(t, 5*time.Second, "caught-up replica readmitted", func() bool { return routable() == 1 })
+}
+
+// TestFrontStreamsWatch: a paced /v1/watch replay that outlasts the
+// front's RequestTimeout arrives through the front whole and in order,
+// its first frame long before the replay ends, and nothing is hedged.
+// When the licensee's first ring candidate hangs, the front gives up on
+// it after RequestTimeout and the replay arrives whole from the second.
+// A shutdown that cancels Run ends an open relayed stream, so the
+// server drains long before the replay would have.
+func TestFrontStreamsWatch(t *testing.T) {
+	_, _, base := newPrimary(t, corpus(t), 32<<10)
+	var reps []Replica
+	gates := map[string]*SlowGate{}
+	for _, name := range []string{"r1", "r2"} {
+		p, srv, _ := newReplica(t, base, nil)
+		if installed, err := p.PullOnce(context.Background()); err != nil || !installed {
+			t.Fatalf("replica bootstrap pull = (%v, %v)", installed, err)
+		}
+		// Only replays pass the gate: a hung replay leaves the replica
+		// healthy to the front's probes, so it stays first in line.
+		gates[name] = &SlowGate{}
+		mux := http.NewServeMux()
+		mux.Handle("/", srv.Handler())
+		mux.Handle("/v1/watch", gates[name].Wrap(srv.Handler()))
+		rep := httptest.NewServer(mux)
+		t.Cleanup(rep.Close)
+		reps = append(reps, Replica{Name: name, URL: rep.URL})
+	}
+	const timeout = 250 * time.Millisecond
+	f := NewFront(FrontConfig{
+		Replicas:       reps,
+		CheckInterval:  20 * time.Millisecond,
+		HedgeAfter:     20 * time.Millisecond,
+		RequestTimeout: timeout,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go f.Run(ctx)
+	front := httptest.NewUnstartedServer(f.Handler())
+	front.Config.RegisterOnShutdown(cancel) // as hftfront does
+	front.Start()
+	defer front.Close()
+	waitFor(t, 5*time.Second, "replicas routable", func() bool { return len(f.routable()) == 2 })
+
+	const watch = "/v1/watch?licensee=Webline%20Holdings&speed=3000"
+	whole := func(t *testing.T) watchStream {
+		t.Helper()
+		s := readWatch(t, front.URL+watch)
+		if s.total <= timeout {
+			t.Fatalf("replay took %v, not longer than the %v RequestTimeout — the drill is vacuous", s.total, timeout)
+		}
+		if s.last != "eof" {
+			t.Fatalf("stream ended on %q after %d frames, want eof", s.last, len(s.seqs))
+		}
+		for i, seq := range s.seqs {
+			if seq != strconv.Itoa(i) {
+				t.Fatalf("frame %d carries seq %s — the stream arrived out of order", i, seq)
+			}
+		}
+		if h := f.Stats().Hedged; h != 0 {
+			t.Errorf("the front hedged the stream %d times", h)
+		}
+		t.Logf("%d frames from %s over %v, first after %v", len(s.seqs), s.replica, s.total, s.first)
+		return s
+	}
+	t.Run("paced", func(t *testing.T) {
+		if s := whole(t); s.first > s.total/2 {
+			t.Errorf("first frame after %v of a %v replay — the front held the stream back", s.first, s.total)
+		}
+	})
+	t.Run("hung-first-candidate", func(t *testing.T) {
+		owner := f.candidates(shardKey(httptest.NewRequest(http.MethodGet, watch, nil)))[0].Name
+		gates[owner].Hang()
+		defer gates[owner].Clear()
+		if s := whole(t); s.replica == owner {
+			t.Fatalf("the hung %s served the replay", owner)
+		}
+	})
+	t.Run("shutdown", func(t *testing.T) {
+		resp, err := http.Get(front.URL + "/v1/watch?licensee=Webline%20Holdings&speed=300")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() && !strings.HasPrefix(sc.Text(), "id: ") {
+		}
+		start := time.Now()
+		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer scancel()
+		if err := front.Config.Shutdown(sctx); err != nil {
+			t.Fatalf("shutdown with a relayed replay open: %v after %v", err, time.Since(start))
+		}
+		for sc.Scan() {
+			if sc.Text() == "event: eof" {
+				t.Fatal("the replay ran to eof before the shutdown — the drill is vacuous")
+			}
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("shutdown took %v with a relayed replay open", d)
+		}
+	})
+}
+
+// watchStream is one /v1/watch replay as read through the front.
+type watchStream struct {
+	seqs          []string // frame seqs in arrival order
+	last, replica string   // the last event name; X-Fleet-Replica
+	first, total  time.Duration
+}
+
+func readWatch(t *testing.T, url string) watchStream {
+	t.Helper()
+	start := time.Now()
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("watch through the front = %d, want 200", resp.StatusCode)
+	}
+	s := watchStream{replica: resp.Header.Get("X-Fleet-Replica")}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if id, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+			if s.first == 0 {
+				s.first = time.Since(start)
+			}
+			_, seq, _ := strings.Cut(id, ".")
+			s.seqs = append(s.seqs, seq)
+		}
+		if ev, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			s.last = ev
+		}
+	}
+	s.total = time.Since(start)
+	return s
 }

@@ -106,13 +106,6 @@ type AnnouncerConfig struct {
 	// false: a SIGKILL-shaped kill must NOT say goodbye — detecting the
 	// silent death is the lease's whole job.
 	LeaveOnExit bool
-	// Paused, when it reports true, skips announce ticks — the chaos
-	// harness uses it to simulate a replica that silently stops
-	// renewing without tearing the process down.
-	Paused func() bool
-	// Skew, when set, offsets the SentAt timestamp — the chaos
-	// campaigns' clock-skew fault. The front must shrug it off.
-	Skew func() time.Duration
 }
 
 func (c AnnouncerConfig) withDefaults() AnnouncerConfig {
@@ -157,9 +150,7 @@ func (a *Announcer) Run(ctx context.Context) {
 	rng := rand.New(rand.NewPCG(uint64(time.Now().UnixNano()), hash64(a.cfg.Self.Name)|1)) //nolint:gosec // heartbeat jitter, not security
 	for {
 		var d time.Duration
-		if a.cfg.Paused != nil && a.cfg.Paused() {
-			d = a.cfg.RetryInterval
-		} else if err := a.AnnounceOnce(ctx); err != nil {
+		if err := a.AnnounceOnce(ctx); err != nil {
 			if ctx.Err() != nil {
 				return
 			}
@@ -202,7 +193,7 @@ func (a *Announcer) AnnounceOnce(ctx context.Context) error {
 	body := joinRequest{
 		Name:   a.cfg.Self.Name,
 		URL:    a.cfg.Self.URL,
-		SentAt: a.sentAt(),
+		SentAt: time.Now().UTC().Format(time.RFC3339Nano),
 	}
 	if a.cfg.Server != nil {
 		if gen, digest, ok := a.cfg.Server.StoreIdentity(); ok {
@@ -245,14 +236,6 @@ func (a *Announcer) Leave(ctx context.Context) error {
 	}
 	a.mu.Unlock()
 	return err
-}
-
-func (a *Announcer) sentAt() string {
-	now := time.Now()
-	if a.cfg.Skew != nil {
-		now = now.Add(a.cfg.Skew())
-	}
-	return now.UTC().Format(time.RFC3339Nano)
 }
 
 func (a *Announcer) post(ctx context.Context, path string, body, out any) error {

@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,7 +152,7 @@ func TestMembershipClockSkewHarmless(t *testing.T) {
 // proxied queries, then leaves gracefully — and the front returns to
 // shedding.
 func TestFrontFleetJoinServeEvict(t *testing.T) {
-	_, base, _ := newPrimary(t)
+	_, _, base := newPrimary(t, corpus(t), 32<<10)
 	repURL, _ := liveReplica(t, base)
 
 	f := NewFront(FrontConfig{
@@ -227,7 +231,7 @@ func TestFrontFleetJoinServeEvict(t *testing.T) {
 // off the ring within one lease TTL plus one sweep interval — the
 // tentpole's convergence bound — while a heartbeating sibling stays.
 func TestFrontLeaseLapseEvictsWithinTTL(t *testing.T) {
-	_, base, _ := newPrimary(t)
+	_, _, base := newPrimary(t, corpus(t), 32<<10)
 	aliveURL, _ := liveReplica(t, base)
 	deadURL, _ := liveReplica(t, base)
 
@@ -266,7 +270,7 @@ func TestFrontLeaseLapseEvictsWithinTTL(t *testing.T) {
 // member, every request sheds 503+Retry-After even though that member
 // could answer — the floor trades availability for not melting a rump.
 func TestFrontMinHealthyFloor(t *testing.T) {
-	_, base, _ := newPrimary(t)
+	_, _, base := newPrimary(t, corpus(t), 32<<10)
 	repURL, _ := liveReplica(t, base)
 
 	f := NewFront(FrontConfig{
@@ -520,4 +524,69 @@ func TestPullerBackoff(t *testing.T) {
 	if d := p.nextDelay(1); d != 200*time.Millisecond {
 		t.Fatalf("hint not consumed: next delay = %v", d)
 	}
+}
+
+// refuseAll fails every request without a packet sent.
+type refuseAll struct{}
+
+func (refuseAll) RoundTrip(*http.Request) (*http.Response, error) {
+	return nil, errors.New("refused: no network in this test")
+}
+
+// FuzzFleetJoin posts arbitrary bodies to a front's /v1/fleet/join.
+// Whatever the body: no panic, and the answer is a 200, 400 or 409. A
+// 200 only admits a non-empty name with an absolute URL and grants the
+// front's TTL and heartbeat, and the member table only ever holds
+// names that got a 200.
+func FuzzFleetJoin(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"r1","url":"http://127.0.0.1:1"}`,
+		`{"name":"r1","url":"http://127.0.0.1:2"}`,
+		`{"name":"r2","url":"http://127.0.0.1:3","generation":7,"digest":"abc","sent_at":"2020-01-01T00:00:00Z"}`,
+		`{"name":"r3","url":"http://127.0.0.1:4","sent_at":"yesterday"}`,
+		`{"name":"r4","url":"127.0.0.1:5"}`,
+		`{"name":"","url":"http://127.0.0.1:6"}`,
+		`{"name":"r5","url":"/relative"}`,
+		`{"name":5}`,
+		`null`,
+		`[]`,
+		`{`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	const ttl = time.Hour
+	// The front probes every member it admits; a refusing transport keeps
+	// fuzzed URLs off the network.
+	front := NewFront(FrontConfig{LeaseTTL: ttl, Client: &http.Client{Transport: refuseAll{}}})
+	h := front.Handler()
+	admitted := map[string]bool{}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/join", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusConflict:
+		case http.StatusOK:
+			var req joinRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("%q: 200 for an undecodable body: %v", body, err)
+			}
+			if u, err := url.Parse(req.URL); req.Name == "" || err != nil || u.Scheme == "" || u.Host == "" {
+				t.Fatalf("%q: 200 for name %q at URL %q", body, req.Name, req.URL)
+			}
+			var grant joinResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil ||
+				grant.TTLMillis != ttl.Milliseconds() || grant.HeartbeatMillis != (ttl/3).Milliseconds() {
+				t.Fatalf("%q: grant %s (%v), want a %v TTL and a %v heartbeat", body, rec.Body.Bytes(), err, ttl, ttl/3)
+			}
+			admitted[req.Name] = true
+		default:
+			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body.String())
+		}
+		for _, m := range front.Members().Stats().Members {
+			if !admitted[m.Name] {
+				t.Fatalf("member %q is in the table without ever getting a 200", m.Name)
+			}
+		}
+	})
 }

@@ -174,7 +174,7 @@ func (f *fakeSourceFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func TestPullerEpochFence(t *testing.T) {
-	_, primaryURL, _ := newPrimary(t)
+	_, _, primaryURL := newPrimary(t, corpus(t), 32<<10)
 	front := &fakeSourceFront{}
 	frontSrv := httptest.NewServer(front)
 	t.Cleanup(frontSrv.Close)
@@ -230,7 +230,7 @@ func TestPullerEpochFence(t *testing.T) {
 // reconciliation must quarantine the dead branch and converge on the
 // source's truth without deleting anything.
 func TestPullerReconcileQuarantinesDeadBranch(t *testing.T) {
-	srcStore, srcURL, _ := newPrimary(t) // source at generation 1
+	srcStore, _, srcURL := newPrimary(t, corpus(t), 32<<10) // source at generation 1
 
 	p, _, st := newReplica(t, "", nil)
 	// The replica holds its own generations 1 and 2 from the old

@@ -33,7 +33,7 @@ type statszBody struct {
 // generation, verifies it, goes live with it, and answers queries
 // stamped with the same identity the primary persisted.
 func TestPullerInstallsAndServes(t *testing.T) {
-	pst, base, _ := newPrimary(t)
+	pst, _, base := newPrimary(t, corpus(t), 32<<10)
 	p, srv, rst := newReplica(t, base, nil)
 
 	installed, err := p.PullOnce(context.Background())
@@ -97,7 +97,7 @@ func TestPullerInstallsAndServes(t *testing.T) {
 // Clearing the fault then lets the same replica install the same
 // generation cleanly — rejection is quarantine, not a death spiral.
 func TestPullerRejectsCorruptShipment(t *testing.T) {
-	pst, base, _ := newPrimary(t)
+	pst, _, base := newPrimary(t, corpus(t), 32<<10)
 
 	// Replica first syncs a clean generation — the fallback corpus.
 	faulty := NewFaultyTransport(nil, synth.Profile{Name: "clean"}, 1)
@@ -163,7 +163,7 @@ func TestPullerRejectsCorruptShipment(t *testing.T) {
 // TestPullerCorruptManifest: a garbled manifest is rejected before any
 // segment is fetched.
 func TestPullerCorruptManifest(t *testing.T) {
-	_, base, _ := newPrimary(t)
+	_, _, base := newPrimary(t, corpus(t), 32<<10)
 	faulty := NewFaultyTransport(nil, synth.Profiles()[0], 99)
 	faulty.CorruptManifests = true
 	faulty.SetRate(1)
@@ -203,7 +203,7 @@ func resealManifest(t *testing.T, mb []byte, mutate func(m map[string]any)) []by
 // fails the pull as exactly one attempt and one rejection, before any
 // segment is requested; a five-digit segment name is not a rejection.
 func TestPullerRejectsMalformedManifest(t *testing.T) {
-	pst, _, _ := newPrimary(t)
+	pst, _, _ := newPrimary(t, corpus(t), 32<<10)
 	mb, _, err := pst.ExportManifest(0)
 	if err != nil {
 		t.Fatal(err)

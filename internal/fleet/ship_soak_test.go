@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,28 +57,16 @@ func (r *recordingTransport) snapshot() []segGet {
 	return append([]segGet(nil), r.gets...)
 }
 
-// soakPrimary saves db as one generation of a fresh store and ships it.
-func soakPrimary(t *testing.T, db *uls.Database, source string) (*store.Store, *store.GenInfo, string) {
+// assertInstalled is the common teardown gate: after a drill
+// converges, the replica store must hold generation id byte-identical
+// to the primary's (same manifest, same digests), no staging debris,
+// and pass a full integrity walk.
+func assertInstalled(t *testing.T, pst, st *store.Store, id int64, drill string) {
 	t.Helper()
-	st, err := store.Open(t.TempDir(), store.WithSegmentTarget(16<<10), store.WithBlockLicenses(8))
-	if err != nil {
-		t.Fatal(err)
+	pm, _, _ := pst.ExportManifest(id)
+	if rm, _, err := st.ExportManifest(id); err != nil || string(pm) != string(rm) {
+		t.Fatalf("%s: replica manifest differs from primary's (err %v)", drill, err)
 	}
-	t.Cleanup(func() { st.Close() })
-	gi, err := st.Save(db, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewShipper(st))
-	t.Cleanup(srv.Close)
-	return st, gi, srv.URL
-}
-
-// drainStagingAndFsck is the common teardown gate: after a drill
-// converges, the replica store must hold no staging debris and pass a
-// full integrity walk.
-func drainStagingAndFsck(t *testing.T, st *store.Store, drill string) {
-	t.Helper()
 	if _, err := st.GC(3); err != nil {
 		t.Fatalf("%s: gc: %v", drill, err)
 	}
@@ -100,8 +87,8 @@ func drainStagingAndFsck(t *testing.T, st *store.Store, drill string) {
 // cuts, corruption injected into resumed ranges, kill/restart between
 // segments, and a throttled link — re-downloading nothing it already
 // verified and shipping zero wire bytes for segments shared between
-// generations. Run under -race via `make ship-soak` (wired into
-// `make ci`).
+// generations. `make ship-soak` runs it alone under -race; `make ci`
+// runs it once, in `make race`.
 func TestShipSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -113,7 +100,7 @@ func TestShipSoak(t *testing.T) {
 	// exact published bytes — poisoned partials quarantined, never
 	// blended.
 	t.Run("flaky-link", func(t *testing.T) {
-		pst, gi, primary := soakPrimary(t, corpus(t), "flaky drill")
+		pst, gi, primary := newPrimary(t, corpus(t), 16<<10)
 		faulty := NewFaultyTransport(nil, synth.Profiles()[len(synth.Profiles())-1], 7)
 		faulty.SetRate(0.15)
 		cut := NewCutTransport(faulty, 7)
@@ -145,13 +132,6 @@ func TestShipSoak(t *testing.T) {
 			t.Fatalf("no convergence in 500 attempts (cuts=%d corrupted=%d status=%+v)",
 				cut.Cuts.Load(), faulty.Corrupted.Load(), p.Status())
 		}
-
-		// Byte-identical to the source: same manifest, same digests.
-		pm, _, _ := pst.ExportManifest(gi.ID)
-		rm, _, err := rst.ExportManifest(gi.ID)
-		if err != nil || string(pm) != string(rm) {
-			t.Fatalf("replica manifest differs from primary's (err %v)", err)
-		}
 		st := p.Status()
 		if cut.Cuts.Load() == 0 || faulty.Corrupted.Load() == 0 {
 			t.Fatalf("drill vacuous: cuts=%d corrupted=%d", cut.Cuts.Load(), faulty.Corrupted.Load())
@@ -161,7 +141,7 @@ func TestShipSoak(t *testing.T) {
 		}
 		t.Logf("flaky-link: %d attempts, %d cuts, %d corrupted, status %+v",
 			st.Attempts, cut.Cuts.Load(), faulty.Corrupted.Load(), st)
-		drainStagingAndFsck(t, rst, "flaky-link")
+		assertInstalled(t, pst, rst, gi.ID, "flaky-link")
 	})
 
 	// ---- Drill 2: kill/restart. The replica dies mid-transfer (store
@@ -171,20 +151,21 @@ func TestShipSoak(t *testing.T) {
 	// never regressing, and zero fetches for anything verified before
 	// the kill.
 	t.Run("kill-restart", func(t *testing.T) {
-		_, gi, primary := soakPrimary(t, corpus(t), "kill drill")
+		pst, gi, primary := newPrimary(t, corpus(t), 16<<10)
 		dir := t.TempDir()
 		rec := &recordingTransport{}
 		cut := NewCutTransport(rec, 99)
 		cut.SetRate(0.5)
-		client := clientWith(cut)
-
-		rst, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
+		boot := func() (*Puller, *store.Store) {
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := serve.New(serve.Config{})
+			srv.AttachStore(st)
+			return NewPuller(PullerConfig{Primary: primary, Store: st, Server: srv, Client: clientWith(cut)}), st
 		}
-		srv := serve.New(serve.Config{})
-		srv.AttachStore(rst)
-		p := NewPuller(PullerConfig{Primary: primary, Store: rst, Server: srv, Client: client})
+		p, rst := boot()
 
 		// Phase 1: pull under cuts until some segments verified but the
 		// install hasn't landed — then kill.
@@ -213,13 +194,7 @@ func TestShipSoak(t *testing.T) {
 			rst.Close() // SIGKILL-shaped: no drain, staging left as-is
 
 			// Phase 2: reboot from the same disk, clean link, finish.
-			rst, err = store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv = serve.New(serve.Config{})
-			srv.AttachStore(rst)
-			p = NewPuller(PullerConfig{Primary: primary, Store: rst, Server: srv, Client: client})
+			p, rst = boot()
 			cut.SetRate(0)
 			if ok, perr := p.PullOnce(context.Background()); perr != nil || !ok {
 				t.Fatalf("post-restart pull = (%v, %v), want install", ok, perr)
@@ -233,10 +208,13 @@ func TestShipSoak(t *testing.T) {
 		gets := rec.snapshot()
 		zeroFetches := map[string]int{}
 		lastOff := map[string]int64{}
+		var resumes int
 		for _, g := range gets {
 			key := g.gen + "/" + g.name
 			if g.off == 0 {
 				zeroFetches[key]++
+			} else {
+				resumes++
 			}
 			if g.off < lastOff[key] {
 				t.Errorf("segment %s fetched at offset %d after reaching %d — resume regressed", key, g.off, lastOff[key])
@@ -246,12 +224,6 @@ func TestShipSoak(t *testing.T) {
 		for key, n := range zeroFetches {
 			if n > 1 {
 				t.Errorf("segment %s fetched from byte zero %d times — verified or partial progress was thrown away", key, n)
-			}
-		}
-		var resumes int
-		for _, g := range gets {
-			if g.off > 0 {
-				resumes++
 			}
 		}
 		if !phase1Installed {
@@ -268,7 +240,7 @@ func TestShipSoak(t *testing.T) {
 		} else {
 			t.Logf("kill-restart: converged before the kill window (%d gets, %d ranged) — kill leg skipped this seed", len(gets), resumes)
 		}
-		drainStagingAndFsck(t, rst, "kill-restart")
+		assertInstalled(t, pst, rst, gi.ID, "kill-restart")
 	})
 
 	// ---- Drill 3: delta shipping. The replica holds generation N; the
@@ -281,7 +253,7 @@ func TestShipSoak(t *testing.T) {
 		if err := prefix.AddBulk(all[:len(all)*3/4], uls.BulkAddOptions{TrustValidated: true}); err != nil {
 			t.Fatal(err)
 		}
-		pst, gi1, primary := soakPrimary(t, prefix, "delta gen one")
+		pst, gi1, primary := newPrimary(t, prefix, 16<<10)
 
 		rec := &recordingTransport{}
 		p, _, rst := newReplica(t, primary, clientWith(rec))
@@ -334,22 +306,17 @@ func TestShipSoak(t *testing.T) {
 		if after.BytesSaved <= before.BytesSaved {
 			t.Errorf("bytes_saved did not grow across a delta pull: %d → %d", before.BytesSaved, after.BytesSaved)
 		}
-		pm, _, _ := pst.ExportManifest(gi2.ID)
-		rm, _, err := rst.ExportManifest(gi2.ID)
-		if err != nil || string(pm) != string(rm) {
-			t.Fatalf("delta-installed manifest differs from primary's (err %v)", err)
-		}
 		t.Logf("delta: %d/%d segments reused, %d bytes fetched (saved %d)",
 			sharedCount, len(gi2.Segments), after.BytesFetched-before.BytesFetched,
 			after.BytesSaved-before.BytesSaved)
-		drainStagingAndFsck(t, rst, "delta")
+		assertInstalled(t, pst, rst, gi2.ID, "delta")
 	})
 
 	// ---- Drill 4: slow link. A byte-budget below the corpus size must
 	// throttle the transfer (the bucket visibly waits) and still land a
 	// clean install.
 	t.Run("slow-link", func(t *testing.T) {
-		pst, gi, primary := soakPrimary(t, corpus(t), "slow drill")
+		pst, gi, primary := newPrimary(t, corpus(t), 16<<10)
 		rst, err := store.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -368,12 +335,7 @@ func TestShipSoak(t *testing.T) {
 		if st.ThrottleWaits == 0 {
 			t.Errorf("throttled pull recorded zero waits: %+v", st)
 		}
-		pm, _, _ := pst.ExportManifest(gi.ID)
-		rm, _, err := rst.ExportManifest(gi.ID)
-		if err != nil || string(pm) != string(rm) {
-			t.Fatalf("throttled install differs from primary's (err %v)", err)
-		}
 		t.Logf("slow-link: %d throttle waits over %d bytes", st.ThrottleWaits, st.BytesFetched)
-		drainStagingAndFsck(t, rst, "slow-link")
+		assertInstalled(t, pst, rst, gi.ID, "slow-link")
 	})
 }

@@ -14,7 +14,7 @@ import (
 // TestShipperEndpoints: the shipping surface serves the on-disk
 // artifacts byte-for-byte and rejects malformed or mutating requests.
 func TestShipperEndpoints(t *testing.T) {
-	st, base, _ := newPrimary(t)
+	st, _, base := newPrimary(t, corpus(t), 32<<10)
 	client := http.DefaultClient
 
 	latest, code := getJSON[struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -131,5 +132,62 @@ func FuzzQueryParams(f *testing.F) {
 			}
 		}
 		check(body.Path, rows)
+	})
+}
+
+// FuzzWatchLastEventID resumes /v1/watch with arbitrary Last-Event-ID
+// headers over arbitrary year windows. Whatever the input: no panic,
+// and the answer is a 200, 400 or 409; a 200 stream's frame seqs are
+// consecutive and it ends at eof. Seeded with a resume past the diffs
+// of a window that has none (Webline Holdings files nothing in 1990),
+// which once crashed the server.
+func FuzzWatchLastEventID(f *testing.F) {
+	for _, seed := range []struct {
+		lastID   string
+		from, to int
+	}{
+		{"1.2", 1990, 1990},
+		{"1.1000", 1990, 1991},
+		{"", 2013, 2020},
+		{"1.0", 2016, 2017},
+		{"1.1", 2013, 2020},
+		{"1.4", 2013, 2020},
+		{"1.1000", 2013, 2020},
+		{"-1", 2019, 2019},
+		{"2.3", 2013, 2020},
+		{"1.x", 2013, 2020},
+		{"1.-4", 2013, 2020},
+		{"1", 2013, 2020},
+		{"1.2", 2020, 2013},
+	} {
+		f.Add(seed.lastID, seed.from, seed.to)
+	}
+	var once sync.Once
+	var h http.Handler
+	f.Fuzz(func(t *testing.T, lastID string, from, to int) {
+		once.Do(func() { h = testServer(t, Config{}).Handler() })
+		req := httptest.NewRequest("GET", fmt.Sprintf("/v1/watch?licensee=Webline+Holdings&from=%d&to=%d", from, to), nil)
+		req.Header.Set("Last-Event-ID", lastID)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusConflict:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("from=%d to=%d Last-Event-ID %q: status %d: %s", from, to, lastID, rec.Code, rec.Body.String())
+		}
+		events, _ := parseSSE(rec.Body)
+		if len(events) == 0 || events[len(events)-1].event != "eof" {
+			t.Fatalf("from=%d to=%d Last-Event-ID %q: stream %+v does not end at eof", from, to, lastID, events)
+		}
+		_, prev := watchID(t, events[0].id)
+		for _, ev := range events[1:] {
+			if _, seq := watchID(t, ev.id); seq != prev+1 {
+				t.Fatalf("from=%d to=%d Last-Event-ID %q: seq %d follows %d", from, to, lastID, seq, prev)
+			} else {
+				prev = seq
+			}
+		}
 	})
 }

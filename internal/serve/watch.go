@@ -447,9 +447,11 @@ func (s *Server) produceWatch(ctx context.Context, g *generation, licensee strin
 	// only the hello) it is the window start and is emitted as the
 	// snapshot frame; for a resume it is the date of the last diff the
 	// client saw — recomputed, not replayed, so the diffs that follow
-	// chain off exactly the state the client's copy ends in.
+	// chain off exactly the state the client's copy ends in. A window
+	// with no events has no diff to resume from: its baseline stays the
+	// window start, and the stream goes straight to eof.
 	baseline := start
-	if last >= 2 {
+	if last >= 2 && S > 0 {
 		baseline = steps[min(last-2, S-1)].date
 	}
 	prev, err := snapshotAt(baseline)
