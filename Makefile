@@ -161,8 +161,11 @@ bench-gate:
 # Short fuzz pass over the bulk parsers and the two parsers the store's
 # single install path trusts. The lenient reader must never panic, must
 # always produce a report, and must only load licenses the strict
-# reader would re-accept; the strict reader must round-trip whatever it
-# takes. A shipped manifest is only accepted with a positive generation
+# reader would re-accept; around every lifecycle date of what it
+# salvages, the event log's active count, ActiveAt and
+# ActiveCountByLicensee must equal the brute-force License.ActiveAt
+# count, so no count goes negative (a seed expires before its grant).
+# The strict reader must round-trip whatever it takes. A shipped manifest is only accepted with a positive generation
 # and segment names Save can write; the staging journal round-trips and
 # any torn prefix parses to a prefix of its entries. The /v1 query
 # parameters never panic or 5xx the service, and every 200 names two

@@ -556,8 +556,8 @@ func benchDailyDates(b *testing.B) []uls.Date {
 }
 
 // BenchmarkEvolutionDailyFullRebuild is the E22 baseline: a daily-grid
-// 2013–2020 evolution sweep on the legacy path — one full stab-query
-// reconstruction per date (no engine, no event log).
+// 2013–2020 evolution sweep on the legacy path — one full
+// reconstruction per date (no engine, no anchor dedup).
 func BenchmarkEvolutionDailyFullRebuild(b *testing.B) {
 	db := corpus(b)
 	dates := benchDailyDates(b)

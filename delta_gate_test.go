@@ -35,7 +35,7 @@ func TestDeltaSweepBudget(t *testing.T) {
 	path := PathNY4()
 	opts := DefaultOptions()
 
-	// Oracle: one full stab-query reconstruction per date.
+	// Oracle: one full reconstruction per date.
 	direct := core.DirectProvider(db)
 	startFull := time.Now()
 	want, err := core.EvolutionVia(direct, licensee, path, dates, opts)

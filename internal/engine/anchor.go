@@ -3,8 +3,8 @@
 // license set only changes when an event fires, so every date between
 // two consecutive events shares one snapshot — requests are re-keyed
 // from their literal date to their anchor (the date of the last event
-// ≤ D), and a miss rebuilds with the stab query at its anchor, the
-// same reconstruction core.DirectProvider runs. Dense sweeps
+// ≤ D), and a miss rebuilds from the active set at its anchor, the same
+// reconstruction core.DirectProvider runs. Dense sweeps
 // (Evolution over a daily grid) therefore cost one rebuild per
 // distinct anchor, not one per date.
 package engine

@@ -275,7 +275,7 @@ func (e *Engine) wait(ctx context.Context, ent *entry) error {
 }
 
 // fill runs the reconstruction for a freshly created entry and
-// publishes the result. The rebuild is the oracle's own stab query
+// publishes the result. The rebuild is the oracle's own reconstruction
 // (core.DirectProvider) at the anchor date rekey chose, over the
 // canonical licensee list, so a union's label does not depend on the
 // order its names were requested in. Error entries are evicted so
@@ -445,8 +445,8 @@ type Stats struct {
 	// requested date onto an earlier anchor's snapshot — requests the
 	// pre-delta engine would have rebuilt under a distinct date key.
 	DeltaHits int64
-	// EventsReplayed always reads 0: a miss rebuilds with the stab
-	// query at its anchor and replays no events.
+	// EventsReplayed always reads 0: a miss rebuilds from the active
+	// set at its anchor and replays no events.
 	//
 	// Deprecated: nothing counts into it; it stays only so existing
 	// readers compile.

@@ -20,9 +20,6 @@ type ReloadOptions struct {
 	// rejecting more than this fraction of its record lines is refused
 	// and the old generation keeps serving (default 0.05).
 	MaxErrorRate float64
-	// Bounds, when non-nil, bounds-checks coordinates during the
-	// integrity pass.
-	Bounds *uls.Bounds
 }
 
 // withDefaults fills unset fields.
@@ -99,7 +96,7 @@ func (s *Server) loadCorpusFile(path string, opts ReloadOptions) error {
 	if err != nil {
 		return fmt.Errorf("ingesting corpus: %w", err)
 	}
-	vrep := uls.Validate(db, uls.ValidateOptions{Bounds: opts.Bounds, Repair: true})
+	vrep := uls.Validate(db, uls.ValidateOptions{Repair: true})
 	if db.Len() == 0 {
 		return fmt.Errorf("candidate corpus is empty after salvage (%d bad lines, %d issues)",
 			report.BadLines, len(vrep.Issues))

@@ -50,6 +50,58 @@ func licenseeSet(resp snapshotResp) string {
 	return strings.Join(names, "|")
 }
 
+// TestNeverInForceLicenseCountsZero: a corpus file holding a license
+// that expires before its grant loads — the integrity pass reports the
+// dates but has nothing to repair — and that license counts on no
+// date: its licensee's evolution reads 0 active licenses, and its
+// replay carries no diff frame.
+func TestNeverInForceLicenseCountsZero(t *testing.T) {
+	var buf bytes.Buffer
+	if err := uls.WriteBulk(&buf, corpus(t)); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(strings.Join([]string{
+		"HD|WQZZ999|999999|MG|A|01/01/2016|01/01/2015|",
+		"EN|WQZZ999|Lone Filer|0099999999|noc@lonefiler.example",
+		"LO|WQZZ999|1|41-45-00.0 N|88-12-00.0 W|200.0|100.0",
+		"LO|WQZZ999|2|41-42-00.0 N|87-42-00.0 W|190.0|100.0",
+		"PA|WQZZ999|1|1|2|FXO|45.0|225.0|38.0",
+		"FR|WQZZ999|1|11245.0",
+		"",
+	}, "\n"))
+	bulk := filepath.Join(t.TempDir(), "corpus.uls")
+	if err := os.WriteFile(bulk, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.LoadCorpusFile(bulk, ReloadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	rec := get(t, h, "/v1/evolution?licensee=Lone%20Filer&from=2015&to=2015")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("evolution status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	evo := decode[struct {
+		Points []struct {
+			ActiveLicenses int `json:"active_licenses"`
+		} `json:"points"`
+	}](t, rec)
+	if len(evo.Points) != 1 || evo.Points[0].ActiveLicenses != 0 {
+		t.Fatalf("evolution points = %+v, want one with 0 active licenses", evo.Points)
+	}
+
+	rec = get(t, h, "/v1/watch?licensee=Lone%20Filer&from=2014&to=2016")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("watch status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	events, _ := parseSSE(rec.Body)
+	if diffs := assertWatchFrames(t, events); len(diffs) != 0 {
+		t.Fatalf("replay of a license never in force carried %d diff frames, want 0", len(diffs))
+	}
+}
+
 // TestHotReloadAtomicSwap: queries racing an atomic generation swap
 // must each observe exactly one complete corpus — the old or the new,
 // never a blend, a partial load, or an error. Run under -race.

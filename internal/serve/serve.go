@@ -52,9 +52,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker rejects work
 	// before admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// EngineWorkers bounds each generation engine's concurrent
-	// reconstructions (default: the engine's own default).
-	EngineWorkers int
 	// RebuildTimeout caps each generation engine's snapshot waits
 	// (default: RequestTimeout; the per-request context usually fires
 	// first, this is the backstop for requests without deadlines).
@@ -65,10 +62,6 @@ type Config struct {
 	// WatchHeartbeat is how often an idle watch stream emits an SSE
 	// heartbeat comment to keep the connection alive (default 15s).
 	WatchHeartbeat time.Duration
-	// WatchBuffer is the per-stream frame buffer between the replay
-	// producer and the client connection; when a slow client fills it,
-	// the replay clock pauses (default 32 frames).
-	WatchBuffer int
 }
 
 // withDefaults fills unset fields.
@@ -99,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatchHeartbeat <= 0 {
 		c.WatchHeartbeat = 15 * time.Second
-	}
-	if c.WatchBuffer <= 0 {
-		c.WatchBuffer = 32
 	}
 	return c
 }
@@ -212,11 +202,7 @@ func (s *Server) publish(db *uls.Database, source string) {
 // publishMeta is publish with the corpus's store identity attached,
 // when the caller knows it (warm starts and replica installs do).
 func (s *Server) publishMeta(db *uls.Database, source string, storeGen int64, digest string) {
-	opts := []engine.Option{engine.WithRebuildTimeout(s.cfg.RebuildTimeout)}
-	if s.cfg.EngineWorkers > 0 {
-		opts = append(opts, engine.WithWorkers(s.cfg.EngineWorkers))
-	}
-	eng := engine.New(db, opts...)
+	eng := engine.New(db, engine.WithRebuildTimeout(s.cfg.RebuildTimeout))
 	// Consecutive corpora usually differ in a few licensees: carry the
 	// rest of the memo over, so the reads after the swap stay hits.
 	inherited := 0

@@ -47,6 +47,12 @@ import (
 // hot reload mid-stream never tears or mixes replays — the stream
 // finishes against the generation it started with.
 
+// watchBuffer is the per-stream frame buffer between the replay
+// producer and the client connection. When a slow client fills it, the
+// replay clock pauses, so a stream holds at most this many unsent
+// frames, however long its replay.
+const watchBuffer = 32
+
 // watchState is the server's streaming surface: a stream semaphore, a
 // drain signal for graceful shutdown, and counters.
 type watchState struct {
@@ -302,8 +308,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	buffer := s.cfg.WatchBuffer
-	frames := make(chan sseFrame, buffer)
+	frames := make(chan sseFrame, watchBuffer)
 	go func() {
 		defer close(frames)
 		s.produceWatch(ctx, g, licensee, path, start, speed, int64(seed), steps, resumeAfter, frames)

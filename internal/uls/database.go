@@ -24,9 +24,6 @@ type Database struct {
 	spatialMu sync.Mutex
 	spatial   *spatialIndex // lazy; guarded by spatialMu; invalidated by Add
 
-	dateMu  sync.Mutex
-	dateIdx *dateIndex // lazy; guarded by dateMu; invalidated by Add
-
 	eventMu sync.Mutex
 	events  *EventLog // lazy; guarded by eventMu; invalidated by Add
 
@@ -104,9 +101,6 @@ func (db *Database) invalidate() {
 	db.spatialMu.Lock()
 	db.spatial = nil // geographic index is stale now
 	db.spatialMu.Unlock()
-	db.dateMu.Lock()
-	db.dateIdx = nil // activity index is stale now
-	db.dateMu.Unlock()
 	db.eventMu.Lock()
 	db.events = nil // temporal event log is stale now
 	db.eventMu.Unlock()
@@ -119,16 +113,6 @@ func (db *Database) invalidate() {
 // mutated. External caches keyed on database contents (the snapshot
 // engine's memo store) compare generations to detect staleness.
 func (db *Database) Generation() int64 { return db.gen }
-
-// dateIndex returns the lazily built date-interval index.
-func (db *Database) dateIndex() *dateIndex {
-	db.dateMu.Lock()
-	defer db.dateMu.Unlock()
-	if db.dateIdx == nil {
-		db.dateIdx = buildDateIndex(db.licenses)
-	}
-	return db.dateIdx
-}
 
 // Len returns the number of licenses in the database.
 func (db *Database) Len() int { return len(db.licenses) }
@@ -148,9 +132,8 @@ func (db *Database) All() []*License {
 }
 
 // Licensees returns the distinct licensee names, sorted. The list is
-// built on first use and kept until the next mutation (like the date
-// index and the event log); the returned slice is shared, and callers
-// must not modify it.
+// built on first use and kept until the next mutation (like the event
+// log); the returned slice is shared, and callers must not modify it.
 func (db *Database) Licensees() []string {
 	db.namesMu.Lock()
 	defer db.namesMu.Unlock()
@@ -255,12 +238,9 @@ func FilterService(ls []*License, service, stationClass string) []*License {
 }
 
 // ActiveAt returns the licenses in force on the given date, sorted by
-// call sign. The query is a date-interval stabbing lookup, not a scan.
+// call sign. The active set is read off the event log.
 func (db *Database) ActiveAt(d Date) []*License {
-	var out []*License
-	db.dateIndex().all.stab(dateKey(d), func(l *License) {
-		out = append(out, l)
-	})
+	out := db.EventLog().all.activeAt(d)
 	SortLicenses(out)
 	return out
 }
@@ -269,11 +249,10 @@ func (db *Database) ActiveAt(d Date) []*License {
 // force on the given date — the quantity plotted in Fig 2. Licensees
 // with no active licenses are absent from the map.
 func (db *Database) ActiveCountByLicensee(d Date) map[string]int {
-	idx := db.dateIndex()
-	out := make(map[string]int, len(idx.byLicensee))
-	key := dateKey(d)
-	for name, set := range idx.byLicensee {
-		if n := set.count(key); n > 0 {
+	log := db.EventLog()
+	out := make(map[string]int, len(log.byLicensee))
+	for name, s := range log.byLicensee {
+		if n := s.count(d); n > 0 {
 			out[name] = n
 		}
 	}
@@ -282,12 +261,10 @@ func (db *Database) ActiveCountByLicensee(d Date) map[string]int {
 
 // ActiveLinks returns every materialized link of every license in force
 // on the given date for the named licensee ("" = all licensees), in
-// call-sign order. The active set comes from the date-interval index.
+// call-sign order. The active set comes from the licensee's event
+// stream.
 func (db *Database) ActiveLinks(licensee string, d Date) []Link {
-	var active []*License
-	db.dateIndex().set(licensee).stab(dateKey(d), func(l *License) {
-		active = append(active, l)
-	})
+	active := db.EventLog().seq(licensee).activeAt(d)
 	SortLicenses(active)
 	var out []Link
 	for _, l := range active {

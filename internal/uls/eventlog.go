@@ -4,15 +4,17 @@ import (
 	"sort"
 )
 
-// Temporal event log (§4). The date-interval index answers "who was
-// active on date D" as a stabbing query; the event log is the dual
-// view: the corpus as a sorted stream of grant/cancel/expire events.
-// Between two consecutive events the active set cannot change, so
-// every date in the gap shares one snapshot: the snapshot engine keys
-// its memo by a date's anchor (AnchorDate), the streaming replay
-// endpoint emits one frame per event date, and per-date license counts
-// come from prefix sums. Like the other derived indexes, the log is
-// built lazily on first use and invalidated by database mutation.
+// Temporal event log (§4): the corpus as a sorted stream of
+// grant/cancel/expire events, and the one index behind every
+// as-of-date query. Between two consecutive events the active set
+// cannot change, so every date in the gap shares one snapshot: the
+// snapshot engine keys its memo by a date's anchor (AnchorDate), the
+// streaming replay endpoint emits one frame per event date, per-date
+// license counts come from prefix sums, and the active set on a date
+// is the grant events up to it whose license has not retired by it
+// (Database.ActiveAt, ActiveLinks). Like the other derived views, the
+// log is built lazily on first use and invalidated by database
+// mutation.
 
 // EventKind classifies one lifecycle transition.
 type EventKind uint8
@@ -69,19 +71,21 @@ type EventLog struct {
 	byLicensee map[string]eventSeq
 }
 
-// eventLess orders events by date, then call sign, then kind. Within
-// one license and date the grant sorts before the retraction, so a
-// zero-length interval (grant == cancellation) replays to "inactive" —
-// matching the interval index, which never yields such licenses.
+// dateKey encodes a Date for integer comparison; the encoding is
+// monotone in calendar order. The zero Date encodes to 0.
+func dateKey(d Date) int32 {
+	return int32(d.Year)*10000 + int32(d.Month)*100 + int32(d.Day)
+}
+
+// eventLess orders events by date, then call sign. The order is total:
+// call signs are unique, and a license's grant falls strictly before
+// its retirement, so no two events share a date and a call sign.
 func eventLess(a, b Event) bool {
 	ak, bk := dateKey(a.Date), dateKey(b.Date)
 	if ak != bk {
 		return ak < bk
 	}
-	if a.License.CallSign != b.License.CallSign {
-		return a.License.CallSign < b.License.CallSign
-	}
-	return a.Kind < b.Kind
+	return a.License.CallSign < b.License.CallSign
 }
 
 func newEventSeq(events []Event) eventSeq {
@@ -97,10 +101,26 @@ func newEventSeq(events []Event) eventSeq {
 	return eventSeq{events: events, active: active}
 }
 
-// buildEventLog derives the log from the licenses, with the same
-// activity rule as the date-interval index: a license is active over
-// [grant, min(cancellation, expiration)), and licenses with no grant
-// date are never active.
+// retirement states the activity rule of §2.3 once for the event log
+// and its scans: a license is in force over [Grant, retire), where
+// retire is the earlier of its cancellation and expiration dates
+// (cancellation on a tie) and the zero Date means it never retires;
+// kind is the event that retires it. inForce is false for a license
+// that is never in force — no grant date, or a retirement on or before
+// its grant — which License.ActiveAt accepts on no date.
+func (l *License) retirement() (retire Date, kind EventKind, inForce bool) {
+	retire, kind = l.Cancellation, EventCancel
+	if !l.Expiration.IsZero() && (retire.IsZero() || dateKey(l.Expiration) < dateKey(retire)) {
+		retire, kind = l.Expiration, EventExpire
+	}
+	inForce = !l.Grant.IsZero() && (retire.IsZero() || dateKey(l.Grant) < dateKey(retire))
+	return retire, kind, inForce
+}
+
+// buildEventLog derives the log from the licenses: a grant event and,
+// unless the license never retires, one retirement event per license
+// in force on some date. A license that is never in force emits no
+// events, so no prefix count goes negative.
 func buildEventLog(licenses []*License) *EventLog {
 	var all []Event
 	per := make(map[string][]Event)
@@ -109,19 +129,13 @@ func buildEventLog(licenses []*License) *EventLog {
 		per[ev.License.Licensee] = append(per[ev.License.Licensee], ev)
 	}
 	for _, l := range licenses {
-		if l.Grant.IsZero() {
+		retire, kind, inForce := l.retirement()
+		if !inForce {
 			continue
 		}
 		add(Event{Date: l.Grant, Kind: EventGrant, License: l})
-		end, kind := Date{}, EventCancel
-		if !l.Cancellation.IsZero() {
-			end = l.Cancellation
-		}
-		if !l.Expiration.IsZero() && (end.IsZero() || dateKey(l.Expiration) < dateKey(end)) {
-			end, kind = l.Expiration, EventExpire
-		}
-		if !end.IsZero() {
-			add(Event{Date: end, Kind: kind, License: l})
+		if !retire.IsZero() {
+			add(Event{Date: retire, Kind: kind, License: l})
 		}
 	}
 	log := &EventLog{all: newEventSeq(all), byLicensee: make(map[string]eventSeq, len(per))}
@@ -129,6 +143,36 @@ func buildEventLog(licenses []*License) *EventLog {
 		log.byLicensee[name] = newEventSeq(evs)
 	}
 	return log
+}
+
+// count returns the number of licenses in force on d, from the prefix
+// counts.
+func (s eventSeq) count(d Date) int {
+	i := cursorAt(s.events, d)
+	if i == 0 { // also an unknown licensee's empty stream
+		return 0
+	}
+	return int(s.active[i])
+}
+
+// activeAt returns the licenses in force on d, in event order: the
+// grant events up to d's cursor whose license has not retired by d.
+func (s eventSeq) activeAt(d Date) []*License {
+	i := cursorAt(s.events, d)
+	if i == 0 || s.active[i] == 0 {
+		return nil
+	}
+	out := make([]*License, 0, s.active[i])
+	key := dateKey(d)
+	for _, ev := range s.events[:i] {
+		if !ev.Kind.Activates() {
+			continue
+		}
+		if retire, _, _ := ev.License.retirement(); retire.IsZero() || dateKey(retire) > key {
+			out = append(out, ev.License)
+		}
+	}
+	return out
 }
 
 // seq returns the stream for one licensee ("" = whole database).
@@ -149,13 +193,9 @@ func (el *EventLog) Events(licensee string) []Event {
 // Len returns the total number of events in the log.
 func (el *EventLog) Len() int { return len(el.all.events) }
 
-// CursorAt returns the number of events with Date ≤ d in the
-// licensee's stream — the replay cursor position for date d, and the
-// index of the first event strictly after d.
-func (el *EventLog) CursorAt(licensee string, d Date) int {
-	return cursorAt(el.seq(licensee).events, d)
-}
-
+// cursorAt returns the number of events with Date ≤ d — the replay
+// cursor position for date d, and the index of the first event
+// strictly after d.
 func cursorAt(events []Event, d Date) int {
 	key := dateKey(d)
 	return sort.Search(len(events), func(i int) bool {
@@ -176,21 +216,15 @@ func (el *EventLog) AnchorDate(licensee string, d Date) Date {
 }
 
 // ActiveCount returns the number of the licensee's licenses in force on
-// d, from the prefix counts — O(log events), versus ActiveCountByLicensee's
-// full per-licensee map. The two agree on every date.
+// d, from the prefix counts in O(log events).
 func (el *EventLog) ActiveCount(licensee string, d Date) int {
-	s := el.seq(licensee)
-	if len(s.events) == 0 { // unknown licensee, or empty corpus
-		return 0
-	}
-	return int(s.active[cursorAt(s.events, d)])
+	return el.seq(licensee).count(d)
 }
 
-// EventLog returns the lazily built temporal event log (mirrors the
-// date-interval index: built on first use, discarded on mutation). The
-// returned log is immutable and stays valid for the generation it was
-// built against; callers that cache it should re-fetch after
-// Generation changes.
+// EventLog returns the lazily built temporal event log: built on first
+// use, discarded on mutation. The returned log is immutable and stays
+// valid for the generation it was built against; callers that cache it
+// should re-fetch after Generation changes.
 func (db *Database) EventLog() *EventLog {
 	db.eventMu.Lock()
 	defer db.eventMu.Unlock()

@@ -28,13 +28,16 @@ func elTestDB(t *testing.T) *Database {
 		mk("WBBB200", "Beta", "02/20/2015", "02/20/2016", ""), // expires before cancel
 		mk("WBBB201", "Beta", "02/20/2015", "", "07/04/2018"),
 		mk("WCCC300", "Gamma", "12/31/2019", "12/31/2029", ""),
+		// Never in force: expires before its grant, and cancelled on its
+		// grant date. Neither may reach the log or move a count.
+		mk("WBBB202", "Beta", "03/01/2016", "03/01/2015", ""),
+		mk("WCCC301", "Gamma", "05/05/2018", "", "05/05/2018"),
 	} {
 		if err := db.Add(l); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A license with no grant date never becomes active; neither the
-	// interval index nor the event log may surface it.
+	// A license with no grant date never becomes active either.
 	ungranted := &License{CallSign: "WZZZ999", Licensee: "Alpha", RadioService: "MG"}
 	db.licenses = append(db.licenses, ungranted)
 	db.byCallSign[ungranted.CallSign] = ungranted
@@ -47,7 +50,7 @@ func TestEventLogOrderingAndKinds(t *testing.T) {
 	log := db.EventLog()
 
 	events := log.Events("")
-	// 5 granted licenses, each with exactly one retraction (cancel or
+	// 5 licenses in force, each with exactly one retraction (cancel or
 	// expire, whichever comes first).
 	if len(events) != 10 {
 		t.Fatalf("event count = %d, want 10", len(events))
@@ -60,8 +63,9 @@ func TestEventLogOrderingAndKinds(t *testing.T) {
 		prev = ev
 	}
 	for _, ev := range events {
-		if ev.License.CallSign == "WZZZ999" {
-			t.Fatal("ungranted license appeared in event log")
+		switch ev.License.CallSign {
+		case "WZZZ999", "WBBB202", "WCCC301":
+			t.Fatalf("%s, never in force, appeared in event log", ev.License.CallSign)
 		}
 	}
 	// WAAA101 retracts by cancellation (03/10/2017 < 06/01/2024);
@@ -81,36 +85,32 @@ func TestEventLogOrderingAndKinds(t *testing.T) {
 }
 
 // TestEventLogReplayMatchesStab is the core identity: applying events
-// with date ≤ d reproduces ActiveAt(d) exactly, for every event
-// boundary, the day before, and the day after. It is the rule anchor
-// re-keying relies on: the active set changes only on event dates.
+// with date ≤ d reproduces the brute-force License.ActiveAt set
+// exactly, per licensee and for the whole database, around every
+// lifecycle date. It is the rule anchor re-keying relies on: the active
+// set changes only on event dates.
 func TestEventLogReplayMatchesStab(t *testing.T) {
 	db := elTestDB(t)
 	log := db.EventLog()
-
-	var probes []Date
-	for _, ev := range log.Events("") {
-		probes = append(probes, ev.Date.AddDays(-1), ev.Date, ev.Date.AddDays(1))
-	}
-	for _, d := range probes {
-		want := map[string]bool{}
-		for _, l := range db.ActiveAt(d) {
-			want[l.CallSign] = true
-		}
-		got := map[string]bool{}
-		for _, ev := range log.Events("")[:log.CursorAt("", d)] {
-			if ev.Kind.Activates() {
-				got[ev.License.CallSign] = true
-			} else {
-				delete(got, ev.License.CallSign)
+	for _, d := range lifecycleProbes(db) {
+		for _, licensee := range append([]string{""}, db.Licensees()...) {
+			want := bruteActive(db, licensee, d)
+			got := map[string]bool{}
+			events := log.Events(licensee)
+			for _, ev := range events[:cursorAt(events, d)] {
+				if ev.Kind.Activates() {
+					got[ev.License.CallSign] = true
+				} else {
+					delete(got, ev.License.CallSign)
+				}
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("at %v: replay has %d active, stab has %d", d, len(got), len(want))
-		}
-		for cs := range want {
-			if !got[cs] {
-				t.Fatalf("at %v: replay missing %s", d, cs)
+			if len(got) != len(want) {
+				t.Fatalf("%q at %v: replay has %d active, reference has %d", licensee, d, len(got), len(want))
+			}
+			for _, l := range want {
+				if !got[l.CallSign] {
+					t.Fatalf("%q at %v: replay missing %s", licensee, d, l.CallSign)
+				}
 			}
 		}
 	}
@@ -120,21 +120,19 @@ func TestEventLogActiveCountMatchesMap(t *testing.T) {
 	db := elTestDB(t)
 	log := db.EventLog()
 	licensees := append(db.Licensees(), "NoSuchEntity")
-	var probes []Date
-	for _, ev := range log.Events("") {
-		probes = append(probes, ev.Date.AddDays(-1), ev.Date, ev.Date.AddDays(1))
-	}
-	for _, d := range probes {
+	for _, d := range lifecycleProbes(db) {
 		byName := db.ActiveCountByLicensee(d)
-		total := 0
 		for _, name := range licensees {
-			if got, want := log.ActiveCount(name, d), byName[name]; got != want {
+			want := len(bruteActive(db, name, d))
+			if got := log.ActiveCount(name, d); got != want {
 				t.Fatalf("ActiveCount(%q, %v) = %d, want %d", name, d, got, want)
 			}
-			total += byName[name]
+			if got := byName[name]; got != want {
+				t.Fatalf("ActiveCountByLicensee(%v)[%q] = %d, want %d", d, name, got, want)
+			}
 		}
-		if got := log.ActiveCount("", d); got != total {
-			t.Fatalf("ActiveCount(all, %v) = %d, want %d", d, got, total)
+		if got, want := log.ActiveCount("", d), len(bruteActive(db, "", d)); got != want {
+			t.Fatalf("ActiveCount(all, %v) = %d, want %d", d, got, want)
 		}
 	}
 }

@@ -52,9 +52,11 @@ func FuzzReadBulk(f *testing.F) {
 // FuzzReadBulkLenient asserts the fault-tolerant path never panics,
 // always produces a report, and only ever loads licenses that re-parse
 // cleanly under the strict reader — a salvaged database is a clean
-// database. Seeds imitate the synth corruption profiles: garbled
+// database. Around every lifecycle date of a salvaged database, each
+// activity count equals the brute-force License.ActiveAt count, so none
+// is negative. Seeds imitate the synth corruption profiles: garbled
 // fields, truncation, duplicated records, reordering, and shredded
-// (joined) lines.
+// (joined) lines; one holds a license that expires before its grant.
 func FuzzReadBulkLenient(f *testing.F) {
 	clean := strings.Join([]string{
 		"HD|WQAA001|1|MG|A|06/01/2015||",
@@ -79,6 +81,8 @@ func FuzzReadBulkLenient(f *testing.F) {
 		// shred: two records joined by a lost newline
 		strings.Replace(clean, "|0001|noc@netone.example\nLO|", "|0001|noc@netone.exampleLO|", 1),
 		"HD|WQAA001|1|MG|A|99/99/9999||\nZZ|?|\x00\xff\n",
+		// never in force: expiration before grant
+		strings.Replace(clean, "06/01/2015||", "06/01/2015|06/01/2014|", 1),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -107,6 +111,22 @@ func FuzzReadBulkLenient(f *testing.F) {
 		}
 		if _, err := ReadBulk(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("salvaged database is not strict-clean: %v", err)
+		}
+		log := db.EventLog()
+		for _, d := range lifecycleProbes(db) {
+			want := len(bruteActive(db, "", d))
+			if got := log.ActiveCount("", d); got != want {
+				t.Fatalf("ActiveCount(%s) = %d, want %d", d, got, want)
+			}
+			if got := len(db.ActiveAt(d)); got != want {
+				t.Fatalf("len(ActiveAt(%s)) = %d, want %d", d, got, want)
+			}
+			byName := db.ActiveCountByLicensee(d)
+			for _, name := range db.Licensees() {
+				if got, want := byName[name], len(bruteActive(db, name, d)); got != want {
+					t.Fatalf("ActiveCountByLicensee(%s)[%q] = %d, want %d", d, name, got, want)
+				}
+			}
 		}
 	})
 }
