@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race vet fmt-check soak serve-soak store-crash fleet-soak membership-soak heal-soak watch-soak ship-soak cover bench bench-short bench-gate fuzz-short ci
+.PHONY: all build test short race vet fmt-check soak serve-soak store-crash fleet-soak membership-soak heal-soak watch-soak ship-soak cover bench bench-short bench-gate fuzz-short loc ci
 
 all: build
 
@@ -194,5 +194,11 @@ bench:
 # race-free, cheap enough for ci.
 bench-short:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkEngine' -benchtime 1x .
+
+# Non-test Go lines under internal/ and cmd/, without the benchmark's
+# cmd/hftload: the size ROADMAP item 3 and the simplicity entries in
+# CHANGES.md quote. A reading, not a gate, and not part of ci.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/hftload/*' -print0 | xargs -0 cat | wc -l
 
 ci: fmt-check vet build race cover bench-gate bench-short fuzz-short

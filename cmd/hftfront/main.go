@@ -6,6 +6,12 @@
 // corpus generation falls too far behind the primary's, and sheds with
 // 503 + jittered Retry-After when no replica is serviceable.
 //
+// The front keeps one member table: each row holds a member's lease,
+// its last /readyz probe (health, generation, digest, age, last error)
+// and, through the ring built over the table, its place in the routing
+// order. Every -check-interval one tick sweeps lapsed leases, probes
+// every member and, with -promote, runs the source election.
+//
 // Replicas reach the front two ways: statically, as permanent
 // -replica members, or by self-registering at POST /v1/fleet/join
 // (hftserve -announce), holding a TTL lease renewed on a heartbeat —
@@ -51,12 +57,12 @@
 //
 //	/v1/fleet/join     replica announce/lease renewal (POST)
 //	/v1/fleet/leave    graceful immediate eviction (POST)
-//	/v1/fleet/members  the live member table (GET)
+//	/v1/fleet/members  the member table (GET)
 //	/v1/fleet/source   the elected source and its fencing epoch (GET)
 //	/v1/*     proxied to the fleet (GET/HEAD only)
 //	/healthz  the front's own liveness
-//	/readyz   fleet readiness: routable replica count + per-replica health
-//	/statsz   routing/failover/shed counters + fleet + membership view
+//	/readyz   fleet readiness: routable replica count + the member table
+//	/statsz   routing/failover/shed counters + the member table
 //
 // The front never serves corpus data itself; a response always comes
 // from exactly one replica (named in X-Fleet-Replica) and carries that
@@ -99,7 +105,7 @@ func main() {
 	hedgeAfter := flag.Duration("hedge-after", 150*time.Millisecond, "hedge a slow read against the next replica after this long")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline per client request, across all attempts")
 	retryAfter := flag.Duration("retry-after", time.Second, "base Retry-After hint on shed responses (jittered)")
-	checkInterval := flag.Duration("check-interval", 250*time.Millisecond, "health/staleness probe cadence")
+	checkInterval := flag.Duration("check-interval", 250*time.Millisecond, "the front's tick: lease sweep, health/staleness probe of every member, source election")
 	failAfter := flag.Int("fail-after", 2, "consecutive probe failures that eject a replica")
 	vnodes := flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "in-flight drain budget on SIGTERM/SIGINT")

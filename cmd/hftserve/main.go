@@ -66,9 +66,10 @@
 // poll continues it with ranged GETs, and segments whose SHA-256 digest
 // the replica already holds locally are hard-linked instead of fetched
 // (an unchanged segment between generations N and N+1 ships zero
-// bytes). -pull-max-bps caps download throughput with a token bucket so
-// replication cannot starve live serving — the staging area makes the
-// stretched transfer safe. Transfer counters (resumed, reused_segments,
+// bytes). -pull-max-bps caps the pull loop's segment downloads with a
+// token bucket so replication cannot starve live serving (scrub-repair
+// reads are not capped) — the staging area makes the stretched
+// transfer safe. Transfer counters (resumed, reused_segments,
 // bytes_saved) appear under "pull" on /statsz, and the shipping side's
 // serve counters under "ship".
 //

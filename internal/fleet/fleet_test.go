@@ -134,3 +134,13 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// holdsFor polls cond for d and fails the moment it does not hold.
+func holdsFor(t testing.TB, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if !cond() {
+			t.Fatalf("%s did not hold for %v", what, d)
+		}
+	}
+}

@@ -50,9 +50,10 @@ type FrontConfig struct {
 	// RetryAfter is the base hint on shed responses; the emitted
 	// header is jittered to break up retry waves (default 1s).
 	RetryAfter time.Duration
-	// CheckInterval is the health/staleness probe cadence, which also
-	// paces the lease sweep (default 250ms); FailAfter the consecutive
-	// probe failures that mark a replica down (default 2).
+	// CheckInterval is the front's tick: each tick sweeps lapsed
+	// leases, probes every member's /readyz for health and staleness,
+	// and runs the source election (default 250ms); FailAfter the
+	// consecutive probe failures that mark a replica down (default 2).
 	CheckInterval time.Duration
 	FailAfter     int
 	// Promote enables epoch-fenced source promotion: the front tracks a
@@ -93,6 +94,9 @@ func (c FrontConfig) withDefaults() FrontConfig {
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = 250 * time.Millisecond
 	}
+	if c.FailAfter <= 0 {
+		c.FailAfter = 2
+	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 15 * time.Second}
 	}
@@ -104,9 +108,9 @@ func (c FrontConfig) withDefaults() FrontConfig {
 // hedged idempotent reads, and load shedding when the healthy quorum
 // drops below the floor.
 type Front struct {
-	cfg     FrontConfig
-	checker *Checker
-	members *Membership
+	cfg          FrontConfig
+	members      *Membership
+	probeTimeout time.Duration // per probe, derived from CheckInterval
 
 	primaryGen atomic.Int64
 
@@ -123,34 +127,29 @@ type Front struct {
 	started time.Time
 }
 
-// NewFront builds the front tier. Call Run to start its probe and
-// lease-sweep loops, then serve Handler.
+// NewFront builds the front tier. Call Run to start its tick, then
+// serve Handler.
 func NewFront(cfg FrontConfig) *Front {
 	cfg = cfg.withDefaults()
-	f := &Front{cfg: cfg, started: time.Now()}
-	f.checker = NewChecker(cfg.Replicas, cfg.Client, cfg.FailAfter)
-	// The membership change hook keeps the probed set in lockstep with
-	// the ring: it runs under the membership lock, so by the time a
-	// Join or eviction returns, both structures agree — there is no
-	// window in which the ring offers a member the checker has
-	// forgotten, or vice versa.
-	f.members = NewMembership(cfg.Replicas, cfg.LeaseTTL, cfg.Vnodes, func(added, removed []Replica) {
-		for _, r := range added {
-			f.checker.Add(r)
-		}
-		for _, r := range removed {
-			f.checker.Remove(r.Name)
-		}
-	})
-	return f
+	return &Front{
+		cfg:          cfg,
+		members:      NewMembership(cfg.Replicas, cfg.LeaseTTL, cfg.Vnodes),
+		probeTimeout: probeTimeoutFor(cfg.CheckInterval),
+		started:      time.Now(),
+	}
 }
 
 // Members exposes the membership registry (tests and the fleet
 // handlers use it; the proxy path goes through candidates).
 func (f *Front) Members() *Membership { return f.members }
 
-// Run drives the health checker, the lease sweep, and the
-// primary-generation poll until ctx is done.
+// Run drives the front until ctx is done: the primary-generation poll,
+// and a tick every CheckInterval that sweeps lapsed leases, probes
+// every member and elects the source. The first tick runs at once, so
+// a freshly started front begins routing within one probe round-trip,
+// not one interval. A tick waits for its slowest probe, so a lease is
+// evicted at most CheckInterval plus one per-probe timeout after it
+// lapses.
 func (f *Front) Run(ctx context.Context) {
 	f.ctxMu.Lock()
 	f.ctx = ctx
@@ -158,8 +157,18 @@ func (f *Front) Run(ctx context.Context) {
 	if f.cfg.Primary != "" {
 		go f.pollPrimary(ctx)
 	}
-	go f.sweepLeases(ctx)
-	f.checker.Run(ctx, f.cfg.CheckInterval)
+	for {
+		for _, r := range f.members.Sweep() {
+			log.Printf("fleet: lease lapsed, evicted %s (%s)", r.Name, r.URL)
+		}
+		f.probeAll(ctx)
+		f.maybePromote()
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(f.cfg.CheckInterval):
+		}
+	}
 }
 
 // runCtx returns the Run context (Background before Run is called) —
@@ -174,71 +183,23 @@ func (f *Front) runCtx() context.Context {
 	return context.Background()
 }
 
-// sweepLeases evicts lapsed leases on the probe cadence.
-func (f *Front) sweepLeases(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(f.cfg.CheckInterval):
-		}
-		if evicted := f.members.Sweep(); len(evicted) > 0 {
-			for _, r := range evicted {
-				log.Printf("fleet: lease lapsed, evicted %s (%s)", r.Name, r.URL)
-			}
-		}
-		f.maybePromote()
-	}
-}
-
-// maybePromote keeps the source role filled. While the role holder is
-// a healthy member, the front just tracks its probed generation as the
-// fleet's newest published truth. When the role is vacant (lease
-// lapsed, graceful leave) or the holder has failed FailAfter
-// consecutive probes, the healthy member holding the newest generation
-// is promoted under the next epoch — ties broken on the smallest name,
-// so every observer of the same snapshot elects the same member. The
-// observed primary generation is reset to the new source's: the dead
-// source's unshipped generations are gone, and a staleness bound
-// anchored to them would strand the whole fleet as "too stale".
+// maybePromote keeps the source role filled (see Membership.elect)
+// and tracks the role holder's probed generation as the fleet's newest
+// published truth. On a promotion the observed primary generation is
+// reset to the new source's: the dead source's unshipped generations
+// are gone, and a staleness bound anchored to them would strand the
+// whole fleet as "too stale".
 func (f *Front) maybePromote() {
 	if !f.cfg.Promote {
 		return
 	}
-	snap := f.checker.Snapshot()
-	src := f.members.Source()
-	if src.Name != "" && f.members.Has(src.Name) {
-		for _, h := range snap {
-			if h.Name != src.Name {
-				continue
-			}
-			if h.Healthy {
-				if h.Generation > 0 {
-					f.primaryGen.Store(h.Generation)
-				}
-				return
-			}
-			break // held but failing probes: elect a replacement
-		}
+	src, gen, promoted := f.members.elect()
+	if gen > 0 {
+		f.primaryGen.Store(gen)
 	}
-	var best *ReplicaHealth
-	for i := range snap {
-		h := &snap[i]
-		if !h.Healthy || h.Generation <= 0 || h.Name == src.Name {
-			continue
-		}
-		if best == nil || h.Generation > best.Generation ||
-			(h.Generation == best.Generation && h.Name < best.Name) {
-			best = h
-		}
-	}
-	if best == nil {
-		return // nobody verified to hold a generation; stay vacant
-	}
-	if info, ok := f.members.Promote(best.Name); ok {
-		f.primaryGen.Store(best.Generation)
+	if promoted {
 		log.Printf("fleet: promoted %s (%s) to source at epoch %d, generation %d",
-			best.Name, best.URL, info.Epoch, best.Generation)
+			src.Name, src.URL, src.Epoch, gen)
 	}
 }
 
@@ -273,36 +234,15 @@ func (f *Front) pollPrimary(ctx context.Context) {
 	}
 }
 
-// routable returns the healthy, fresh-enough members by name. The
-// checker's probed set tracks membership exactly (see NewFront), so an
-// evicted member cannot appear here.
-func (f *Front) routable() map[string]Replica {
-	primary := f.primaryGen.Load()
-	out := make(map[string]Replica)
-	for _, h := range f.checker.Snapshot() {
-		if !h.Healthy {
-			continue
-		}
-		if primary > 0 && h.Generation > 0 && primary-h.Generation > f.cfg.StalenessBound {
-			continue // too stale to serve: beyond the staleness budget
-		}
-		out[h.Name] = Replica{Name: h.Name, URL: h.URL}
-	}
-	return out
+// candidates is the failover order for one key: the ring's walk from
+// the key's owner, restricted to routable members.
+func (f *Front) candidates(key string) []Replica {
+	return f.members.route(key, f.primaryGen.Load(), f.cfg.StalenessBound)
 }
 
-// candidates is the failover order for one key: the current ring's
-// walk from the key's owner, restricted to routable members.
-func (f *Front) candidates(key string) []Replica {
-	routable := f.routable()
-	var seq []Replica
-	for _, name := range f.members.Ring().Seq(key) {
-		if r, ok := routable[name]; ok {
-			seq = append(seq, r)
-		}
-	}
-	return seq
-}
+// routable returns every routable member: each lies on every key's
+// walk.
+func (f *Front) routable() []Replica { return f.candidates("") }
 
 // shardKey derives the routing key: per-licensee when the query names
 // one (so a licensee's snapshot memos concentrate on one replica's
@@ -359,9 +299,10 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// The quorum floor: a rump fleet below MinHealthy sheds rather
 	// than absorbing the whole fleet's load — a partition that leaves
 	// one straggler serving everyone would just melt it down and turn
-	// a partial outage into a total one.
-	if healthy := len(f.routable()); healthy < f.cfg.MinHealthy {
-		f.shed(w, fmt.Sprintf("healthy members %d below floor %d", healthy, f.cfg.MinHealthy))
+	// a partial outage into a total one. The walk holds every routable
+	// member, so its length is the count.
+	if len(cands) < f.cfg.MinHealthy {
+		f.shed(w, fmt.Sprintf("healthy members %d below floor %d", len(cands), f.cfg.MinHealthy))
 		return
 	}
 	if r.URL.Path == "/v1/watch" {
@@ -574,7 +515,6 @@ type FrontStats struct {
 	PrimaryGeneration int64           `json:"primary_generation"`
 	StalenessBound    int64           `json:"staleness_bound"`
 	MinHealthy        int             `json:"min_healthy"`
-	Replicas          []ReplicaHealth `json:"replicas"`
 	Membership        MembershipStats `json:"membership"`
 }
 
@@ -590,27 +530,27 @@ func (f *Front) Stats() FrontStats {
 		PrimaryGeneration: f.primaryGen.Load(),
 		StalenessBound:    f.cfg.StalenessBound,
 		MinHealthy:        f.cfg.MinHealthy,
-		Replicas:          f.checker.Snapshot(),
 		Membership:        f.members.Stats(),
 	}
 }
 
 func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	routable := f.routable()
+	routable := len(f.routable())
+	rows := f.members.Stats().Members
 	body := struct {
-		Ready             bool            `json:"ready"`
-		Routable          int             `json:"routable"`
-		Members           int             `json:"members"`
-		MinHealthy        int             `json:"min_healthy"`
-		PrimaryGeneration int64           `json:"primary_generation"`
-		Replicas          []ReplicaHealth `json:"replicas"`
+		Ready             bool         `json:"ready"`
+		Routable          int          `json:"routable"`
+		Members           int          `json:"members"`
+		MinHealthy        int          `json:"min_healthy"`
+		PrimaryGeneration int64        `json:"primary_generation"`
+		Replicas          []MemberInfo `json:"replicas"`
 	}{
-		Ready:             len(routable) >= f.cfg.MinHealthy,
-		Routable:          len(routable),
-		Members:           f.members.Len(),
+		Ready:             routable >= f.cfg.MinHealthy,
+		Routable:          routable,
+		Members:           len(rows),
 		MinHealthy:        f.cfg.MinHealthy,
 		PrimaryGeneration: f.primaryGen.Load(),
-		Replicas:          f.checker.Snapshot(),
+		Replicas:          rows,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if !body.Ready {

@@ -13,8 +13,10 @@ import (
 	"time"
 )
 
-// TestCheckerTransitions: a replica is ejected only after failAfter
-// consecutive bad probes and readmitted after a single good one.
+// TestCheckerTransitions: a member's row is ejected only after
+// FailAfter (default 2) consecutive bad probes and readmitted after a
+// single good one, and the probe's generation, digest and age land on
+// the same row.
 func TestCheckerTransitions(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
@@ -26,33 +28,34 @@ func TestCheckerTransitions(t *testing.T) {
 	}))
 	defer rep.Close()
 
-	c := NewChecker([]Replica{{Name: "r1", URL: rep.URL}}, nil, 2)
+	f := NewFront(FrontConfig{Replicas: []Replica{{Name: "r1", URL: rep.URL}}})
 	ctx := context.Background()
+	row := func() MemberInfo { return f.Members().Stats().Members[0] }
 
-	if c.Snapshot()[0].Healthy {
+	if row().Healthy || len(f.routable()) != 0 {
 		t.Fatal("replica healthy before any probe")
 	}
-	c.CheckOnce(ctx)
-	h := c.Snapshot()[0]
-	if !h.Healthy || h.Generation != 7 || h.Digest != "abc" || h.AgeSeconds != 1.5 {
-		t.Fatalf("after good probe: %+v", h)
+	f.probeAll(ctx)
+	h := row()
+	if !h.Healthy || h.Generation != 7 || h.Digest != "abc" || h.AgeSeconds != 1.5 || len(f.routable()) != 1 {
+		t.Fatalf("after good probe: %+v, %d routable", h, len(f.routable()))
 	}
 
 	// One bad probe is a blip, two is an ejection.
 	ready.Store(false)
-	c.CheckOnce(ctx)
-	if !c.Snapshot()[0].Healthy {
+	f.probeAll(ctx)
+	if !row().Healthy {
 		t.Fatal("ejected after a single failed probe")
 	}
-	c.CheckOnce(ctx)
-	if h := c.Snapshot()[0]; h.Healthy || h.LastError == "" {
-		t.Fatalf("still healthy after %d failed probes: %+v", 2, h)
+	f.probeAll(ctx)
+	if h := row(); h.Healthy || h.LastError == "" || len(f.routable()) != 0 {
+		t.Fatalf("still routable after %d failed probes: %+v", 2, h)
 	}
 
 	// Recovery is immediate.
 	ready.Store(true)
-	c.CheckOnce(ctx)
-	if h := c.Snapshot()[0]; !h.Healthy || h.LastError != "" {
+	f.probeAll(ctx)
+	if h := row(); !h.Healthy || h.LastError != "" || len(f.routable()) != 1 {
 		t.Fatalf("not readmitted after good probe: %+v", h)
 	}
 }
@@ -140,7 +143,7 @@ func TestFrontRoutingFailoverShed(t *testing.T) {
 	}
 
 	// Kill the owner: the same query must keep answering 200 from a
-	// sibling, without waiting for the health checker to notice.
+	// sibling, without waiting for the front's probes to notice.
 	closeReplicaServer(t, urls[owner])
 	resp, err = client.Get(front.URL + "/v1/snapshot?licensee=New%20Line%20Networks")
 	if err != nil {

@@ -10,23 +10,6 @@ import (
 	"time"
 )
 
-// ReplicaHealth is one replica's last observed state.
-type ReplicaHealth struct {
-	Name    string `json:"name"`
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// Generation is the replica's live store generation (0 unknown);
-	// Digest its corpus digest; AgeSeconds how long that generation
-	// has been live there. All read straight off the replica's
-	// /readyz — the health probe doubles as the staleness probe.
-	Generation int64   `json:"generation"`
-	Digest     string  `json:"digest,omitempty"`
-	AgeSeconds float64 `json:"age_seconds"`
-	LastError  string  `json:"last_error,omitempty"`
-
-	fails int // consecutive probe failures
-}
-
 // readyzProbe is the slice of the serve /readyz payload the fleet
 // reads. Probing JSON instead of linking the store keeps the front
 // tier deployable against any replica build.
@@ -37,100 +20,6 @@ type readyzProbe struct {
 		CorpusSHA256    string  `json:"corpus_sha256"`
 		AgeSeconds      float64 `json:"age_seconds"`
 	} `json:"generation"`
-}
-
-// Checker polls replica /readyz endpoints and maintains health +
-// generation state. A replica is marked unhealthy after failAfter
-// consecutive probe failures (or one not-ready answer) and healthy
-// again after a single good probe — fail slow, recover fast is wrong
-// for serving; here a kill must be noticed within one probe interval
-// while a single dropped probe must not eject a healthy replica.
-//
-// The probed set is dynamic: the membership layer Adds a replica when
-// its lease is granted and Removes it on eviction, so the checker
-// never wastes probes on — and routable() never consults — a member
-// the fleet has already let go.
-type Checker struct {
-	client       *http.Client
-	failAfter    int
-	probeTimeout time.Duration
-
-	mu    sync.Mutex
-	order []string // configured/insertion order, for stable Snapshot
-	state map[string]*ReplicaHealth
-}
-
-// NewChecker builds a checker over the initial replica set. failAfter
-// <= 0 means 2 consecutive failures.
-func NewChecker(replicas []Replica, client *http.Client, failAfter int) *Checker {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
-	if failAfter <= 0 {
-		failAfter = 2
-	}
-	c := &Checker{client: client, failAfter: failAfter,
-		state: make(map[string]*ReplicaHealth, len(replicas))}
-	for _, r := range replicas {
-		c.Add(r)
-	}
-	return c
-}
-
-// Add registers a replica with the checker. Like a configured replica,
-// it starts unhealthy until its first good probe: routing to an
-// address nobody has ever answered on is a guess. Re-adding an
-// existing name updates its URL and resets its probe history (a
-// rejoined member may be a fresh process on the same name).
-func (c *Checker) Add(r Replica) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.state[r.Name]; !ok {
-		c.order = append(c.order, r.Name)
-	}
-	c.state[r.Name] = &ReplicaHealth{Name: r.Name, URL: r.URL}
-}
-
-// Remove forgets a replica. Subsequent Snapshots exclude it; a probe
-// already in flight for it is discarded when it lands.
-func (c *Checker) Remove(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.state[name]; !ok {
-		return
-	}
-	delete(c.state, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Run probes every replica each interval until ctx is done. The first
-// sweep runs immediately so a freshly started front tier begins
-// routing within one probe round-trip, not one interval. Each probe
-// gets its own timeout derived from the interval (see CheckOnce), so
-// one hung replica delays a sweep by at most that bound instead of
-// pinning the loop on the HTTP client's (much longer) timeout.
-func (c *Checker) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	c.mu.Lock()
-	if c.probeTimeout <= 0 {
-		c.probeTimeout = probeTimeoutFor(interval)
-	}
-	c.mu.Unlock()
-	for {
-		c.CheckOnce(ctx)
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(interval):
-		}
-	}
 }
 
 // probeTimeoutFor derives the per-probe deadline from the probe
@@ -148,57 +37,38 @@ func probeTimeoutFor(interval time.Duration) time.Duration {
 	return t
 }
 
-// CheckOnce probes every currently registered replica concurrently,
-// each under its own per-probe timeout.
-func (c *Checker) CheckOnce(ctx context.Context) {
-	c.mu.Lock()
-	replicas := make([]Replica, 0, len(c.state))
-	for _, name := range c.order {
-		st := c.state[name]
-		replicas = append(replicas, Replica{Name: st.Name, URL: st.URL})
-	}
-	timeout := c.probeTimeout
-	c.mu.Unlock()
-	if timeout <= 0 {
-		timeout = probeTimeoutFor(0)
-	}
-
+// probeAll probes every member concurrently, each under the per-probe
+// timeout, so one hung replica delays a tick by at most that bound
+// instead of pinning it on the HTTP client's (much longer) timeout. It
+// returns once every verdict has landed.
+func (f *Front) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, r := range replicas {
+	for _, mem := range f.members.entries() {
 		wg.Add(1)
-		go func(r Replica) {
+		go func() {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			probe, err := c.probe(pctx, r)
-			c.record(r.Name, probe, err)
-		}(r)
+			f.probe(ctx, mem)
+		}()
 	}
 	wg.Wait()
 }
 
-// ProbeNow probes one replica immediately, outside the sweep cadence —
-// the membership layer calls it on a fresh join so the member becomes
-// routable within one round-trip instead of one probe interval.
-func (c *Checker) ProbeNow(ctx context.Context, r Replica) {
-	c.mu.Lock()
-	timeout := c.probeTimeout
-	c.mu.Unlock()
-	if timeout <= 0 {
-		timeout = probeTimeoutFor(0)
-	}
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+// probe reads one member's /readyz and lands the verdict on its entry.
+func (f *Front) probe(ctx context.Context, mem *member) {
+	ctx, cancel := context.WithTimeout(ctx, f.probeTimeout)
 	defer cancel()
-	probe, err := c.probe(pctx, r)
-	c.record(r.Name, probe, err)
+	p, err := readyz(ctx, f.cfg.Client, mem.URL)
+	f.members.record(mem, p, err, f.cfg.FailAfter)
 }
 
-func (c *Checker) probe(ctx context.Context, r Replica) (*readyzProbe, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.URL+"/readyz", nil)
+// readyz GETs base's /readyz. A reply that is not 200 or not ready is
+// an error.
+func readyz(ctx context.Context, client *http.Client, base string) (*readyzProbe, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -209,47 +79,10 @@ func (c *Checker) probe(ctx context.Context, r Replica) (*readyzProbe, error) {
 	}
 	var p readyzProbe
 	if err := json.Unmarshal(body, &p); err != nil {
-		return nil, fmt.Errorf("readyz from %s: %w", r.URL, err)
+		return nil, fmt.Errorf("readyz from %s: %w", base, err)
 	}
 	if resp.StatusCode != http.StatusOK || !p.Ready {
-		return &p, fmt.Errorf("readyz from %s: status %d ready=%v", r.URL, resp.StatusCode, p.Ready)
+		return &p, fmt.Errorf("readyz from %s: status %d ready=%v", base, resp.StatusCode, p.Ready)
 	}
 	return &p, nil
-}
-
-func (c *Checker) record(name string, probe *readyzProbe, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.state[name]
-	if !ok {
-		return // removed while the probe was in flight
-	}
-	if err != nil {
-		st.fails++
-		st.LastError = err.Error()
-		if st.fails >= c.failAfter {
-			st.Healthy = false
-		}
-		return
-	}
-	st.fails = 0
-	st.Healthy = true
-	st.LastError = ""
-	if probe.Generation != nil {
-		st.Generation = probe.Generation.StoreGeneration
-		st.Digest = probe.Generation.CorpusSHA256
-		st.AgeSeconds = probe.Generation.AgeSeconds
-	}
-}
-
-// Snapshot returns a copy of every registered replica's health, in
-// registration order.
-func (c *Checker) Snapshot() []ReplicaHealth {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ReplicaHealth, 0, len(c.order))
-	for _, name := range c.order {
-		out = append(out, *c.state[name])
-	}
-	return out
 }

@@ -35,11 +35,6 @@ const fleetPrefix = "/v1/fleet/"
 type joinRequest struct {
 	Name string `json:"name"`
 	URL  string `json:"url"`
-	// Generation/Digest are the replica's live corpus identity at send
-	// time — diagnostics on the front's member table; routing keeps
-	// using the probed /readyz values, which cannot be spoofed stale.
-	Generation int64  `json:"generation,omitempty"`
-	Digest     string `json:"digest,omitempty"`
 	// SentAt is the replica's wall clock at send time (RFC3339Nano).
 	// The front records the skew and otherwise ignores it: leases live
 	// on the front's clock alone.
@@ -89,8 +84,7 @@ type AnnouncerConfig struct {
 	// Self is how the replica introduces itself: the member name and
 	// the URL the front should route to.
 	Self Replica
-	// Server, when non-nil, supplies the live corpus identity for each
-	// announce and gains a "lease" section on /statsz.
+	// Server, when non-nil, gains a "lease" section on /statsz.
 	Server *serve.Server
 	// Interval overrides the front-suggested heartbeat cadence (0 =
 	// follow the grant; before the first successful join the announcer
@@ -194,11 +188,6 @@ func (a *Announcer) AnnounceOnce(ctx context.Context) error {
 		Name:   a.cfg.Self.Name,
 		URL:    a.cfg.Self.URL,
 		SentAt: time.Now().UTC().Format(time.RFC3339Nano),
-	}
-	if a.cfg.Server != nil {
-		if gen, digest, ok := a.cfg.Server.StoreIdentity(); ok {
-			body.Generation, body.Digest = gen, digest
-		}
 	}
 	var grant joinResponse
 	if err := a.post(ctx, fleetPrefix+"join", body, &grant); err != nil {

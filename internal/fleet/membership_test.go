@@ -16,39 +16,51 @@ import (
 	"time"
 )
 
-// TestMembershipLeaseLifecycle drives one member through the whole
-// lease state machine on a fake clock: join grants a TTL, renewals
-// push expiry forward, a lapse evicts, and a rejoin after eviction is
-// a fresh admission.
+// TestMembershipLeaseLifecycle drives one member's entry through the
+// whole lease state machine on a fake clock: join grants a TTL and a
+// fresh entry, renewals push expiry forward and keep the entry with its
+// probe state, a lapse evicts the entry from the table and the ring,
+// and a rejoin after eviction is a fresh admission that starts
+// unprobed.
 func TestMembershipLeaseLifecycle(t *testing.T) {
 	clock := time.Unix(1000, 0)
-	var added, removed []string
-	m := NewMembership(nil, time.Second, 8, func(a, r []Replica) {
-		for _, x := range a {
-			added = append(added, x.Name)
-		}
-		for _, x := range r {
-			removed = append(removed, x.Name)
-		}
-	})
+	m := NewMembership(nil, time.Second, 8)
 	m.now = func() time.Time { return clock }
+	row := func() MemberInfo {
+		t.Helper()
+		rows := m.Stats().Members
+		if len(rows) != 1 {
+			t.Fatalf("member table = %+v, want one row", rows)
+		}
+		return rows[0]
+	}
 
-	grant, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1"})
+	grant, mem, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if grant.TTLMillis != 1000 || grant.HeartbeatMillis >= grant.TTLMillis {
 		t.Fatalf("grant = %+v; want 1s TTL with a heartbeat well inside it", grant)
 	}
-	if !m.Has("r1") || m.Len() != 1 || len(added) != 1 {
-		t.Fatalf("after join: has=%v len=%d added=%v", m.Has("r1"), m.Len(), added)
+	if mem == nil || !m.Has("r1") || m.Len() != 1 || row().Healthy || len(m.route("k", 0, 0)) != 0 {
+		t.Fatalf("after join: entry=%v has=%v len=%d row=%+v", mem, m.Has("r1"), m.Len(), row())
+	}
+	// A good probe of the entry makes it routable.
+	m.record(mem, &readyzProbe{Ready: true}, nil, 2)
+	if seq := m.route("k", 0, 0); len(seq) != 1 || seq[0].URL != "http://127.0.0.1:1" || !row().Healthy {
+		t.Fatalf("after a good probe: route %v, row %+v", seq, row())
 	}
 
-	// Renewals keep the lease alive past the original expiry.
+	// Renewals keep the lease alive past the original expiry; they admit
+	// nothing and keep the entry's probe state.
 	for i := 0; i < 3; i++ {
 		clock = clock.Add(600 * time.Millisecond)
-		if _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1"}); err != nil {
+		_, again, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1"})
+		if err != nil {
 			t.Fatalf("renew %d: %v", i, err)
+		}
+		if again != nil {
+			t.Fatalf("renew %d reported as an admission", i)
 		}
 		if ev := m.Sweep(); len(ev) != 0 {
 			t.Fatalf("renewed member swept: %v", ev)
@@ -57,20 +69,31 @@ func TestMembershipLeaseLifecycle(t *testing.T) {
 	if s := m.Stats(); s.Joins != 1 || s.Renews != 3 {
 		t.Fatalf("stats after renewals = %+v", s)
 	}
+	if r := row(); r.LeaseSeconds != 1 || !r.Healthy || len(m.route("k", 0, 0)) != 1 {
+		t.Fatalf("row after renewals = %+v; want a full 1s lease, still healthy and routable", r)
+	}
 
 	// Stop renewing: one TTL later the sweep evicts it.
 	clock = clock.Add(1001 * time.Millisecond)
 	ev := m.Sweep()
-	if len(ev) != 1 || ev[0].Name != "r1" || m.Has("r1") || len(removed) != 1 {
-		t.Fatalf("lapse: evicted=%v has=%v removed=%v", ev, m.Has("r1"), removed)
+	if len(ev) != 1 || ev[0].Name != "r1" || m.Has("r1") || len(m.Stats().Members) != 0 {
+		t.Fatalf("lapse: evicted=%v has=%v rows=%+v", ev, m.Has("r1"), m.Stats().Members)
 	}
-	if ring := m.Ring(); ring.Len() != 0 {
-		t.Fatalf("evicted member still on the ring: %d nodes", ring.Len())
+	if seq := m.ring.Seq("k"); len(seq) != 0 {
+		t.Fatalf("evicted member still on the ring: %v", seq)
 	}
 
-	// A restarted process on the same name but a new port rejoins clean.
-	if _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:2"}); err != nil {
+	// A restarted process on the same name but a new port rejoins clean:
+	// a new entry, unhealthy until its own first probe.
+	_, fresh, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:2"})
+	if err != nil {
 		t.Fatalf("rejoin after eviction: %v", err)
+	}
+	if fresh == nil || fresh == mem {
+		t.Fatal("rejoin after eviction did not admit a new entry")
+	}
+	if r := row(); r.URL != "http://127.0.0.1:2" || r.Healthy || len(m.route("k", 0, 0)) != 0 {
+		t.Fatalf("rejoined row = %+v; want the new URL, not yet healthy nor routable", r)
 	}
 	if s := m.Stats(); s.Joins != 2 || s.Evictions != 1 {
 		t.Fatalf("stats after rejoin = %+v", s)
@@ -82,7 +105,7 @@ func TestMembershipLeaseLifecycle(t *testing.T) {
 // graceful leave evicts immediately; permanent (seeded) members are
 // immune to both leave and sweep.
 func TestMembershipValidation(t *testing.T) {
-	m := NewMembership([]Replica{{Name: "seed", URL: "http://127.0.0.1:9"}}, 50*time.Millisecond, 8, nil)
+	m := NewMembership([]Replica{{Name: "seed", URL: "http://127.0.0.1:9"}}, 50*time.Millisecond, 8)
 
 	for _, req := range []joinRequest{
 		{Name: "", URL: "http://x"},
@@ -90,15 +113,15 @@ func TestMembershipValidation(t *testing.T) {
 		{Name: "x", URL: "not-a-url"},
 		{Name: "x", URL: "/relative"},
 	} {
-		if _, err := m.Join(req); err == nil {
+		if _, _, err := m.Join(req); err == nil {
 			t.Errorf("join %+v accepted, want rejection", req)
 		}
 	}
-	if _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1"}); err != nil {
+	if _, _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	// Same name, different URL, while the lease is live: operator error.
-	if _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:2"}); err == nil {
+	if _, _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:2"}); err == nil {
 		t.Fatal("conflicting join accepted")
 	}
 
@@ -122,14 +145,14 @@ func TestMembershipValidation(t *testing.T) {
 // shorten or lengthen a lease — they surface only as skew diagnostics.
 func TestMembershipClockSkewHarmless(t *testing.T) {
 	clock := time.Unix(5000, 0)
-	m := NewMembership(nil, time.Second, 8, nil)
+	m := NewMembership(nil, time.Second, 8)
 	m.now = func() time.Time { return clock }
 
 	skewed := clock.Add(-3 * time.Hour).UTC().Format(time.RFC3339Nano)
-	if _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1", SentAt: skewed}); err != nil {
+	if _, _, err := m.Join(joinRequest{Name: "r1", URL: "http://127.0.0.1:1", SentAt: skewed}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Join(joinRequest{Name: "r2", URL: "http://127.0.0.1:2", SentAt: "garbage-timestamp"}); err != nil {
+	if _, _, err := m.Join(joinRequest{Name: "r2", URL: "http://127.0.0.1:2", SentAt: "garbage-timestamp"}); err != nil {
 		t.Fatal(err)
 	}
 	// Both leases expire on the FRONT's schedule, not the senders'.
@@ -287,8 +310,8 @@ func TestFrontMinHealthyFloor(t *testing.T) {
 	client := front.Client()
 
 	waitFor(t, 5*time.Second, "replica probed healthy", func() bool {
-		snap := f.checker.Snapshot()
-		return len(snap) == 1 && snap[0].Healthy
+		rows := f.Members().Stats().Members
+		return len(rows) == 1 && rows[0].Healthy
 	})
 	resp, err := client.Get(front.URL + "/v1/snapshot")
 	if err != nil {
@@ -299,18 +322,112 @@ func TestFrontMinHealthyFloor(t *testing.T) {
 		t.Fatalf("below-floor fleet: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	ready, code := getJSON[struct {
-		Ready bool `json:"ready"`
+		Ready    bool `json:"ready"`
+		Routable int  `json:"routable"`
 	}](t, client, front.URL+"/readyz")
-	if code != http.StatusServiceUnavailable || ready.Ready {
-		t.Fatalf("readyz below floor = %v (status %d), want not ready", ready.Ready, code)
+	if code != http.StatusServiceUnavailable || ready.Ready || ready.Routable != 1 {
+		t.Fatalf("readyz below floor = %+v (status %d), want not ready with 1 routable", ready, code)
+	}
+}
+
+// TestFleetRenewalProbesOnce: the front probes a member at once only
+// when it first admits it; a lease renewal waits for the tick's probe.
+// One join and ten renewals through the front's handler, with no Run,
+// make exactly one /readyz probe.
+func TestFleetRenewalProbesOnce(t *testing.T) {
+	var probes atomic.Int64
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			probes.Add(1)
+		}
+		fmt.Fprint(w, `{"ready":true}`)
+	}))
+	defer rep.Close()
+	front := httptest.NewServer(NewFront(FrontConfig{LeaseTTL: time.Hour}).Handler())
+	defer front.Close()
+
+	body := fmt.Sprintf(`{"name":"r1","url":%q}`, rep.URL)
+	for i := 0; i < 11; i++ {
+		postFleet(t, front, "join", body)
+	}
+	waitFor(t, 5*time.Second, "the admission probe", func() bool { return probes.Load() >= 1 })
+	holdsFor(t, 300*time.Millisecond, "exactly one probe", func() bool { return probes.Load() == 1 })
+}
+
+// TestProbeVerdictStaysWithItsEntry: a probe's verdict lands only on
+// the entry it probed. r1 joins, and while the admission probe of its
+// URL hangs, r1 leaves and rejoins from a new URL that answers 503 not
+// ready. The old URL's good answer then arrives, and must leave the
+// new entry unhealthy, without the old process's generation, and
+// unroutable.
+func TestProbeVerdictStaysWithItsEntry(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var arrive, free sync.Once
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrive.Do(func() { close(arrived) })
+		<-release
+		fmt.Fprint(w, `{"ready":true,"generation":{"store_generation":7,"corpus_sha256":"old"}}`)
+	}))
+	defer old.Close()
+	defer free.Do(func() { close(release) }) // before old.Close, which waits for the handler
+	fresh := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"ready":false}`)
+	}))
+	defer fresh.Close()
+	front := httptest.NewServer(NewFront(FrontConfig{LeaseTTL: time.Hour}).Handler())
+	defer front.Close()
+	type row struct {
+		Name       string `json:"name"`
+		Healthy    bool   `json:"healthy"`
+		Generation int64  `json:"generation"`
+		LastError  string `json:"last_error"`
+	}
+	table := func() (int, []row) {
+		ready, _ := getJSON[struct {
+			Routable int   `json:"routable"`
+			Replicas []row `json:"replicas"`
+		}](t, front.Client(), front.URL+"/readyz")
+		return ready.Routable, ready.Replicas
+	}
+
+	postFleet(t, front, "join", fmt.Sprintf(`{"name":"r1","url":%q}`, old.URL))
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the admission probe never reached the old URL")
+	}
+	postFleet(t, front, "leave", `{"name":"r1"}`)
+	postFleet(t, front, "join", fmt.Sprintf(`{"name":"r1","url":%q}`, fresh.URL))
+	waitFor(t, 5*time.Second, "the new entry's probe", func() bool {
+		_, rows := table()
+		return len(rows) == 1 && rows[0].LastError != ""
+	})
+	free.Do(func() { close(release) })
+	holdsFor(t, 300*time.Millisecond, "the new entry unhealthy and unroutable", func() bool {
+		routable, rows := table()
+		return routable == 0 && len(rows) == 1 && !rows[0].Healthy && rows[0].Generation == 0
+	})
+}
+
+// postFleet POSTs body to the front's /v1/fleet/<op> and wants a 200.
+func postFleet(t *testing.T, front *httptest.Server, op, body string) {
+	t.Helper()
+	resp, err := front.Client().Post(front.URL+fleetPrefix+op, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s%s = %d, want 200", fleetPrefix, op, resp.StatusCode)
 	}
 }
 
 // TestCheckerHungReplica is the per-probe-timeout regression test: one
 // hung replica (accepts connections, never answers) must neither stall
-// the check loop nor delay a healthy sibling's probe — the sweep
-// completes within the derived per-probe timeout, not the HTTP
-// client's.
+// the front's probe sweep nor delay a healthy sibling's probe — the
+// sweep completes within the per-probe timeout NewFront derives, not
+// the HTTP client's.
 func TestCheckerHungReplica(t *testing.T) {
 	hungGate := &SlowGate{}
 	hungGate.Hang()
@@ -324,21 +441,24 @@ func TestCheckerHungReplica(t *testing.T) {
 	// A 60s client timeout: if probes ran under it, this test would
 	// hang for a minute. The per-probe timeout derived from the 25ms
 	// interval (clamped to 100ms) must govern instead.
-	c := NewChecker([]Replica{
-		{Name: "hung", URL: hung.URL},
-		{Name: "ok", URL: healthy.URL},
-	}, &http.Client{Timeout: 60 * time.Second}, 1)
-	c.probeTimeout = probeTimeoutFor(25 * time.Millisecond)
+	f := NewFront(FrontConfig{
+		Replicas: []Replica{
+			{Name: "hung", URL: hung.URL},
+			{Name: "ok", URL: healthy.URL},
+		},
+		CheckInterval: 25 * time.Millisecond,
+		FailAfter:     1,
+		Client:        &http.Client{Timeout: 60 * time.Second},
+	})
 
 	start := time.Now()
-	c.CheckOnce(context.Background())
+	f.probeAll(context.Background())
 	elapsed := time.Since(start)
 	if elapsed > 2*time.Second {
 		t.Fatalf("sweep with a hung replica took %v — per-probe timeout not applied", elapsed)
 	}
-	snap := c.Snapshot()
-	byName := map[string]ReplicaHealth{}
-	for _, h := range snap {
+	byName := map[string]MemberInfo{}
+	for _, h := range f.Members().Stats().Members {
 		byName[h.Name] = h
 	}
 	if byName["hung"].Healthy || byName["hung"].LastError == "" {
@@ -347,18 +467,29 @@ func TestCheckerHungReplica(t *testing.T) {
 	if !byName["ok"].Healthy {
 		t.Fatalf("healthy sibling = %+v; hung peer starved its probe", byName["ok"])
 	}
+	if r := f.routable(); len(r) != 1 || r[0].Name != "ok" {
+		t.Fatalf("routable = %v, want only ok", r)
+	}
 }
 
+// TestProbeTimeoutDerivation: NewFront sets the per-probe timeout once,
+// from CheckInterval (2×, clamped to [100ms, 2s]), and defaults
+// FailAfter to 2.
 func TestProbeTimeoutDerivation(t *testing.T) {
 	for _, tc := range []struct {
 		interval, want time.Duration
 	}{
+		{0, 500 * time.Millisecond},                      // the 250ms default interval
 		{25 * time.Millisecond, 100 * time.Millisecond},  // clamp up
 		{250 * time.Millisecond, 500 * time.Millisecond}, // 2× interval
 		{10 * time.Second, 2 * time.Second},              // clamp down
 	} {
-		if got := probeTimeoutFor(tc.interval); got != tc.want {
-			t.Errorf("probeTimeoutFor(%v) = %v, want %v", tc.interval, got, tc.want)
+		f := NewFront(FrontConfig{CheckInterval: tc.interval})
+		if f.probeTimeout != tc.want {
+			t.Errorf("CheckInterval %v: probe timeout %v, want %v", tc.interval, f.probeTimeout, tc.want)
+		}
+		if f.cfg.FailAfter != 2 {
+			t.Errorf("CheckInterval %v: FailAfter %d, want the default 2", tc.interval, f.cfg.FailAfter)
 		}
 	}
 }
@@ -415,12 +546,15 @@ func TestRingChurnBoundedMovement(t *testing.T) {
 }
 
 // TestMembershipConcurrentChurnNeverRoutesRemoved hammers Join / Leave
-// / Sweep from several goroutines while readers route keys, asserting
-// the ring a reader loads never contains a member whose removal has
-// completed — the atomic rebuild-under-lock contract. Run under -race
-// in CI.
+// from several goroutines while readers route keys, asserting that a
+// route computed after a Leave returned never names the removed member
+// — the table and its ring change in one critical section — and that a
+// probe verdict landing after the Leave cannot revive it. Run under
+// -race in CI.
 func TestMembershipConcurrentChurnNeverRoutesRemoved(t *testing.T) {
-	m := NewMembership([]Replica{{Name: "anchor", URL: "http://127.0.0.1:9"}}, time.Minute, 8, nil)
+	m := NewMembership([]Replica{{Name: "anchor", URL: "http://127.0.0.1:9"}}, time.Minute, 8)
+	good := &readyzProbe{Ready: true}
+	m.record(m.entries()[0], good, nil, 1)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -431,34 +565,38 @@ func TestMembershipConcurrentChurnNeverRoutesRemoved(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				name := fmt.Sprintf("churn-%d-%d", w, i)
-				if _, err := m.Join(joinRequest{Name: name, URL: "http://127.0.0.1:1"}); err != nil {
+				_, mem, err := m.Join(joinRequest{Name: name, URL: "http://127.0.0.1:1"})
+				if err != nil {
 					t.Errorf("join %s: %v", name, err)
 					return
 				}
+				m.record(mem, good, nil, 1) // routable until it leaves
 				m.Leave(name)
-				// The contract under test: a ring loaded after Leave
-				// returned must not route to the removed member, no
-				// matter how many sibling joins/leaves race the rebuild.
-				// (No sibling ever re-adds this name, so seeing it here
-				// can only mean a stale ring was published.)
-				for _, n2 := range m.Ring().Seq(name) {
-					if n2 == name {
-						t.Errorf("ring loaded after Leave(%s) returned still routes to it", name)
+				m.record(mem, good, nil, 1) // a probe that was in flight
+				// The contract under test: a route computed after Leave
+				// returned must not name the removed member, no matter how
+				// many sibling joins/leaves race it. (No sibling ever
+				// re-adds this name, so seeing it here can only mean the
+				// table kept a removed entry.)
+				for _, r := range m.route(name, 0, 0) {
+					if r.Name == name {
+						t.Errorf("route computed after Leave(%s) returned still names it", name)
 						return
 					}
 				}
 			}
 		}(w)
 	}
-	// Concurrent readers keep the hot path (atomic ring load + walk)
-	// racing the rebuilds; -race flags any unsynchronized publish.
+	// Concurrent readers keep the hot path (one locked ring walk over
+	// the table) racing the changes; -race flags any unsynchronized
+	// access.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				if seq := m.Ring().Seq(fmt.Sprintf("key-%d-%d", r, i)); len(seq) == 0 {
-					t.Error("ring lost its permanent member mid-churn")
+				if seq := m.route(fmt.Sprintf("key-%d-%d", r, i), 0, 0); len(seq) == 0 {
+					t.Error("route lost its permanent member mid-churn")
 					return
 				}
 			}
@@ -467,8 +605,8 @@ func TestMembershipConcurrentChurnNeverRoutesRemoved(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
-	if !m.Has("anchor") {
-		t.Fatal("permanent member lost during churn")
+	if rows := m.Stats().Members; len(rows) != 1 || rows[0].Name != "anchor" || !rows[0].Healthy {
+		t.Fatalf("member table after churn = %+v, want only the healthy permanent member", rows)
 	}
 }
 
@@ -537,7 +675,8 @@ func (refuseAll) RoundTrip(*http.Request) (*http.Response, error) {
 // Whatever the body: no panic, and the answer is a 200, 400 or 409. A
 // 200 only admits a non-empty name with an absolute URL and grants the
 // front's TTL and heartbeat, and the member table only ever holds
-// names that got a 200.
+// names that got a 200. Every probe is refused, so no row is ever
+// healthy and nothing is routable.
 func FuzzFleetJoin(f *testing.F) {
 	for _, seed := range []string{
 		`{"name":"r1","url":"http://127.0.0.1:1"}`,
@@ -587,6 +726,12 @@ func FuzzFleetJoin(f *testing.F) {
 			if !admitted[m.Name] {
 				t.Fatalf("member %q is in the table without ever getting a 200", m.Name)
 			}
+			if m.Healthy {
+				t.Fatalf("member %q is healthy, though every probe is refused: %+v", m.Name, m)
+			}
+		}
+		if r := front.routable(); len(r) != 0 {
+			t.Fatalf("%d members routable, though every probe is refused: %v", len(r), r)
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// fakeReadyz serves a minimal /readyz a Checker probe can read, with a
+// fakeReadyz serves a minimal /readyz a front probe can read, with a
 // settable generation and health.
 type fakeReadyz struct {
 	mu    sync.Mutex
@@ -36,46 +36,58 @@ func (f *fakeReadyz) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `{"ready":%v,"generation":{"store_generation":%d,"corpus_sha256":"d%d"}}`, ready, gen, gen)
 }
 
+// TestMembershipPromoteEpochMonotone drives the election over the
+// member table: with nobody healthy the role stays vacant at epoch 0,
+// the healthy member with a generation takes it at epoch 1, re-electing
+// a healthy holder burns no epoch even when a sibling holds a newer
+// generation, a failing holder hands the role over under the next
+// epoch, and a graceful leave vacates the role while the epoch fence
+// survives, into the next join grant.
 func TestMembershipPromoteEpochMonotone(t *testing.T) {
-	m := NewMembership(nil, time.Minute, 8, nil)
+	m := NewMembership(nil, time.Minute, 8)
+	entries := map[string]*member{}
 	join := func(name, url string) {
 		t.Helper()
-		if _, err := m.Join(joinRequest{Name: name, URL: url}); err != nil {
+		_, mem, err := m.Join(joinRequest{Name: name, URL: url})
+		if err != nil {
 			t.Fatalf("join %s: %v", name, err)
+		}
+		entries[name] = mem
+	}
+	probed := func(name string, healthy bool, gen int64) {
+		entries[name].healthy, entries[name].generation = healthy, gen
+	}
+	elect := func(what, name string, epoch int64, promoted bool) {
+		t.Helper()
+		src, _, ok := m.elect()
+		if src.Name != name || src.Epoch != epoch || ok != promoted {
+			t.Fatalf("%s: elected %+v (new epoch %v), want %q at epoch %d (new epoch %v)", what, src, ok, name, epoch, promoted)
 		}
 	}
 	join("a", "http://a:1")
 	join("b", "http://b:1")
 
-	if src := m.Source(); src.Name != "" || src.Epoch != 0 {
-		t.Fatalf("fresh registry has source %+v, want vacant epoch 0", src)
+	elect("nobody probed", "", 0, false)
+	probed("a", true, 1)
+	elect("first election", "a", 1, true)
+	if src := m.Source(); src.URL != "http://a:1" {
+		t.Fatalf("source %+v, want a's URL", src)
 	}
-	if _, ok := m.Promote("ghost"); ok {
-		t.Fatal("promoting a non-member succeeded")
-	}
-	src, ok := m.Promote("a")
-	if !ok || src.Name != "a" || src.URL != "http://a:1" || src.Epoch != 1 {
-		t.Fatalf("first promotion gave %+v ok=%v, want a@epoch1", src, ok)
-	}
-	// Re-promoting the holder must not burn an epoch.
-	if src, ok = m.Promote("a"); ok || src.Epoch != 1 {
-		t.Fatalf("re-promoting holder gave %+v ok=%v, want no-op at epoch 1", src, ok)
-	}
-	if src, ok = m.Promote("b"); !ok || src.Name != "b" || src.Epoch != 2 {
-		t.Fatalf("handing the role over gave %+v ok=%v, want b@epoch2", src, ok)
-	}
+	probed("b", true, 5)
+	elect("healthy incumbent", "a", 1, false)
+	probed("a", false, 1)
+	elect("failing incumbent", "b", 2, true)
 
 	// A graceful leave vacates the role but the epoch fence survives.
 	m.Leave("b")
-	if src = m.Source(); src.Name != "" || src.URL != "" || src.Epoch != 2 {
+	if src := m.Source(); src.Name != "" || src.URL != "" || src.Epoch != 2 {
 		t.Fatalf("after leave, source is %+v, want vacant at epoch 2", src)
 	}
-	if src, ok = m.Promote("a"); !ok || src.Epoch != 3 {
-		t.Fatalf("promotion after vacancy gave %+v ok=%v, want epoch 3", src, ok)
-	}
+	probed("a", true, 1)
+	elect("after vacancy", "a", 3, true)
 
 	// The join grant carries the role, so a rejoining member learns it.
-	grant, err := m.Join(joinRequest{Name: "b", URL: "http://b:2"})
+	grant, _, err := m.Join(joinRequest{Name: "b", URL: "http://b:2"})
 	if err != nil {
 		t.Fatalf("rejoin b: %v", err)
 	}
@@ -85,14 +97,16 @@ func TestMembershipPromoteEpochMonotone(t *testing.T) {
 }
 
 func TestMembershipSweepVacatesSource(t *testing.T) {
-	m := NewMembership(nil, time.Second, 8, nil)
+	m := NewMembership(nil, time.Second, 8)
 	clock := time.Unix(1000, 0)
 	m.now = func() time.Time { return clock }
-	if _, err := m.Join(joinRequest{Name: "a", URL: "http://a:1"}); err != nil {
+	_, mem, err := m.Join(joinRequest{Name: "a", URL: "http://a:1"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Promote("a"); !ok {
-		t.Fatal("promotion failed")
+	mem.healthy, mem.generation = true, 1
+	if src, _, ok := m.elect(); !ok || src.Name != "a" {
+		t.Fatalf("election gave %+v, want a", src)
 	}
 	clock = clock.Add(2 * time.Second)
 	if evicted := m.Sweep(); len(evicted) != 1 {
@@ -103,9 +117,10 @@ func TestMembershipSweepVacatesSource(t *testing.T) {
 	}
 }
 
-// TestFrontPromotesNewestGeneration drives maybePromote directly: the
-// healthy member with the newest generation wins, ties break on the
-// smallest name, and a healthy incumbent is never displaced.
+// TestFrontPromotesNewestGeneration drives the tick's probe and
+// election by hand: the healthy member with the newest probed
+// generation wins, ties break on the smallest name, and a healthy
+// incumbent is never displaced.
 func TestFrontPromotesNewestGeneration(t *testing.T) {
 	fakes := map[string]*fakeReadyz{}
 	var replicas []Replica
@@ -122,7 +137,7 @@ func TestFrontPromotesNewestGeneration(t *testing.T) {
 
 	f := NewFront(FrontConfig{Replicas: replicas, Promote: true, FailAfter: 1})
 	ctx := context.Background()
-	f.checker.CheckOnce(ctx)
+	f.probeAll(ctx)
 	f.maybePromote()
 	if src := f.Members().Source(); src.Name != "r2" || src.Epoch != 1 {
 		t.Fatalf("elected %+v, want r2@epoch1", src)
@@ -133,7 +148,7 @@ func TestFrontPromotesNewestGeneration(t *testing.T) {
 
 	// A healthy incumbent holds the role even when overtaken.
 	fakes["r1"].set(9, true)
-	f.checker.CheckOnce(ctx)
+	f.probeAll(ctx)
 	f.maybePromote()
 	if src := f.Members().Source(); src.Name != "r2" {
 		t.Fatalf("healthy incumbent displaced: %+v", src)
@@ -142,7 +157,7 @@ func TestFrontPromotesNewestGeneration(t *testing.T) {
 	// The incumbent failing probes hands the role to the best survivor —
 	// and the tracked primary generation re-anchors to the new source.
 	fakes["r2"].set(5, false)
-	f.checker.CheckOnce(ctx)
+	f.probeAll(ctx)
 	f.maybePromote()
 	if src := f.Members().Source(); src.Name != "r1" || src.Epoch != 2 {
 		t.Fatalf("failover elected %+v, want r1@epoch2", src)

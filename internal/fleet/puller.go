@@ -64,11 +64,12 @@ type PullerConfig struct {
 	// (default 3; the previous generation is always retained as the
 	// fallback corpus).
 	Keep int
-	// MaxBytesPerSec caps segment download throughput with a token
-	// bucket (0 = unlimited), so replication and repair traffic cannot
-	// starve live serving. The staging area makes the stretched
-	// transfer safe: a pull interrupted mid-budget resumes where it
-	// stopped.
+	// MaxBytesPerSec caps the pull loop's segment downloads with a
+	// token bucket (0 = unlimited), so replication cannot starve live
+	// serving. It caps nothing else: scrub-repair reads through
+	// NewPeerFetcher are not metered. The staging area makes the
+	// stretched transfer safe: a pull interrupted mid-budget resumes
+	// where it stopped.
 	MaxBytesPerSec int64
 }
 
@@ -555,11 +556,7 @@ func (p *Puller) fetchStagedSegment(ctx context.Context, src string, gi *store.G
 		}
 		return fmt.Errorf("GET %s: status 404", url)
 	case http.StatusServiceUnavailable:
-		if secs, aerr := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); aerr == nil && secs > 0 {
-			p.mu.Lock()
-			p.retryAfter = time.Duration(secs) * time.Second
-			p.mu.Unlock()
-		}
+		p.noteRetryAfter(resp)
 		return fmt.Errorf("GET %s: status 503", url)
 	default:
 		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
@@ -649,14 +646,19 @@ func (p *Puller) fetch(ctx context.Context, url string) ([]byte, error) {
 	case resp.StatusCode == http.StatusNotFound && resp.Header.Get("X-Gen-Gone") != "":
 		return nil, fmt.Errorf("%w: primary swept it mid-pull", store.ErrGenGone)
 	default:
-		// A shedding shipper names its price; record it for nextDelay.
 		if resp.StatusCode == http.StatusServiceUnavailable {
-			if secs, aerr := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); aerr == nil && secs > 0 {
-				p.mu.Lock()
-				p.retryAfter = time.Duration(secs) * time.Second
-				p.mu.Unlock()
-			}
+			p.noteRetryAfter(resp)
 		}
 		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+}
+
+// noteRetryAfter records a shedding shipper's Retry-After (whole
+// seconds) for nextDelay: it named its price.
+func (p *Puller) noteRetryAfter(resp *http.Response) {
+	if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs > 0 {
+		p.mu.Lock()
+		p.retryAfter = time.Duration(secs) * time.Second
+		p.mu.Unlock()
 	}
 }

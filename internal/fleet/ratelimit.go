@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// Pull bandwidth budget: replication and repair traffic share the
-// replica's NIC with live serving, and an unthrottled multi-hundred-MB
-// generation pull is exactly the burst that blows a serving-tier p99.
-// A token bucket refilled at MaxBytesPerSec meters every segment body
-// the puller reads; transfers stretch out, serving keeps its headroom,
-// and the staging area makes the stretched transfer safe to interrupt.
+// Pull bandwidth budget: replication traffic shares the replica's NIC
+// with live serving, and an unthrottled multi-hundred-MB generation
+// pull is exactly the burst that blows a serving-tier p99. A token
+// bucket refilled at MaxBytesPerSec meters every segment body the
+// puller reads (scrub-repair reads are not metered); transfers stretch
+// out, serving keeps its headroom, and the staging area makes the
+// stretched transfer safe to interrupt.
 
 // throttleChunk bounds one metered read so a tiny budget still makes
 // progress (the bucket's burst is never smaller than one chunk).

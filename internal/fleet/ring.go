@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -14,9 +16,14 @@ import (
 // when a replica dies only the keys it owned move — the survivors'
 // hot shards stay hot.
 type Ring struct {
-	hashes []uint64
-	owner  map[uint64]string
-	nodes  []string
+	points []ringPoint // sorted by hash
+	nodes  []string    // sorted
+}
+
+// ringPoint is one virtual node: its hash and its node's index.
+type ringPoint struct {
+	hash uint64
+	node int
 }
 
 // NewRing builds a ring over nodes with the given virtual-node count
@@ -26,43 +33,36 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = 64
 	}
-	r := &Ring{owner: make(map[uint64]string, len(nodes)*vnodes)}
-	r.nodes = append(r.nodes, nodes...)
-	sort.Strings(r.nodes)
-	for _, n := range r.nodes {
+	r := &Ring{nodes: slices.Sorted(slices.Values(nodes))}
+	for i, n := range r.nodes {
 		for v := 0; v < vnodes; v++ {
-			h := hash64(fmt.Sprintf("%s#%d", n, v))
-			// On the (astronomically unlikely) collision, first
-			// sorted node wins deterministically.
-			if _, taken := r.owner[h]; !taken {
-				r.owner[h] = n
-				r.hashes = append(r.hashes, h)
-			}
+			r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", n, v)), i})
 		}
 	}
-	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
+	// On the (astronomically unlikely) collision, first sorted node
+	// wins deterministically: the stable sort keeps its point first
+	// and the compaction keeps the first.
+	slices.SortStableFunc(r.points, func(a, b ringPoint) int { return cmp.Compare(a.hash, b.hash) })
+	r.points = slices.CompactFunc(r.points, func(a, b ringPoint) bool { return a.hash == b.hash })
 	return r
 }
-
-// Len returns the number of distinct nodes on the ring.
-func (r *Ring) Len() int { return len(r.nodes) }
 
 // Seq returns every node in ring order starting at key's position: the
 // first element is the key's owner, the rest are the failover order.
 // Deterministic for a given (ring, key).
 func (r *Ring) Seq(key string) []string {
-	if len(r.hashes) == 0 {
+	if len(r.points) == 0 {
 		return nil
 	}
 	h := hash64(key)
-	i := sort.Search(len(r.hashes), func(j int) bool { return r.hashes[j] >= h })
+	i := sort.Search(len(r.points), func(j int) bool { return r.points[j].hash >= h })
 	seq := make([]string, 0, len(r.nodes))
-	seen := make(map[string]bool, len(r.nodes))
-	for k := 0; k < len(r.hashes) && len(seq) < len(r.nodes); k++ {
-		n := r.owner[r.hashes[(i+k)%len(r.hashes)]]
-		if !seen[n] {
-			seen[n] = true
-			seq = append(seq, n)
+	seen := make([]bool, len(r.nodes))
+	for k := 0; k < len(r.points) && len(seq) < len(r.nodes); k++ {
+		p := r.points[(i+k)%len(r.points)]
+		if !seen[p.node] {
+			seen[p.node] = true
+			seq = append(seq, r.nodes[p.node])
 		}
 	}
 	return seq

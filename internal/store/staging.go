@@ -138,20 +138,6 @@ func parseJournal(data []byte) []journalEntry {
 	return out
 }
 
-// StagingStats is a staging area's account of where its verified bytes
-// came from, read by the puller's transfer counters.
-type StagingStats struct {
-	// ResumedSegments were adopted from a prior pull of the same
-	// generation (journal replay or the crash-before-journal window);
-	// ResumedBytes is their total size.
-	ResumedSegments int64
-	ResumedBytes    int64
-	// ReusedSegments were hard-linked/copied from a local committed
-	// generation or older staging area by digest; ReusedBytes likewise.
-	ReusedSegments int64
-	ReusedBytes    int64
-}
-
 // Staging is one in-progress generation pull: a durable, resumable
 // download area for the segments one manifest promises. Not safe for
 // concurrent use; one puller drives one Staging at a time.
@@ -166,7 +152,6 @@ type Staging struct {
 	verified map[string]bool   // segment name -> verified on disk under its final name
 	origins  map[string]string // segment name -> fetched | resumed | reused
 	writer   *StagingWriter    // at most one open partial writer
-	stats    StagingStats
 	closed   bool
 }
 
@@ -304,8 +289,6 @@ func (g *Staging) adoptSurvivors() {
 		if CheckSegment(data, si) == nil {
 			g.verified[si.Name] = true
 			g.origins[si.Name] = "resumed"
-			g.stats.ResumedSegments++
-			g.stats.ResumedBytes += si.Bytes
 			if !journaled[si.Name] {
 				// The crash-before-journal window: verified bytes whose
 				// journal line never landed. Record them now.
@@ -339,10 +322,7 @@ func (g *Staging) reuseAll() {
 		if !ok {
 			continue
 		}
-		if err := g.adoptLocal(src, si, "reused"); err == nil {
-			g.stats.ReusedSegments++
-			g.stats.ReusedBytes += si.Bytes
-		}
+		_ = g.adoptLocal(src, si, "reused") // a failed link or check leaves it missing
 	}
 }
 
@@ -361,12 +341,7 @@ func (g *Staging) ReuseLocal(si SegmentInfo) bool {
 	if !ok {
 		return false
 	}
-	if err := g.adoptLocal(src, si, "reused"); err != nil {
-		return false
-	}
-	g.stats.ReusedSegments++
-	g.stats.ReusedBytes += si.Bytes
-	return true
+	return g.adoptLocal(src, si, "reused") == nil
 }
 
 // adoptLocal links (or copies) src into the staging area under a temp
@@ -438,9 +413,6 @@ func (s *Store) copyFile(src, dst string) error {
 	return s.writeFileSync(dst, data)
 }
 
-// Info returns the staged generation's description.
-func (g *Staging) Info() GenInfo { return g.m.info() }
-
 // Origin reports where one verified segment's bytes came from:
 // "fetched" (completed from a partial this staging wrote), "resumed"
 // (adopted from a prior interrupted pull of the same generation), or
@@ -450,12 +422,6 @@ func (g *Staging) Origin(name string) string { return g.origins[name] }
 
 // Verified reports whether one segment is complete-and-verified.
 func (g *Staging) Verified(name string) bool { return g.verified[name] }
-
-// VerifiedCount returns how many of the manifest's segments are done.
-func (g *Staging) VerifiedCount() int { return len(g.verified) }
-
-// Stats returns the resume/reuse accounting.
-func (g *Staging) Stats() StagingStats { return g.stats }
 
 // PartialSize returns the byte length of a segment's in-progress
 // partial (0 when none exists) — the offset a ranged fetch resumes at.
