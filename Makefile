@@ -144,19 +144,24 @@ cover: race
 # once (the header carrying the requested date), without the race
 # detector, whose instrumentation allocates on its own. Union budget
 # (E13): the complementary-pair analysis builds a union only for loner
-# pairs that share a tower site, at most 1 in 20 loner pairs at the
-# paper date (a deterministic count, 7 of 903). Rebuild budget (E18): a
-# publish that changes one licensee carries every other licensee's
-# snapshots over, so re-reading the three paper-date tables rebuilds
-# exactly that licensee's 3 families (a deterministic count; 171
-# without the carry-over). Memo bound (E18): 2,000 distinct unknown
-# licensees on /v1/evolution and /v1/watch answer 404 and add no memo
-# entry (a deterministic count).
+# pairs that share a tower site and together file within fiber reach of
+# both ends, at most 1 in 20 loner pairs at the paper date (a
+# deterministic count, 1 of 903). Rebuild budget (E18): a publish that
+# changes one licensee carries every other licensee's snapshots over,
+# so re-reading the three paper-date tables rebuilds exactly that
+# licensee's 3 families (a deterministic count; 36 without the
+# carry-over). Memo bound (E18): 2,000 distinct unknown licensees on
+# /v1/evolution and /v1/watch answer 404 and add no memo entry (a
+# deterministic count). Reach screen: a paper-date /v1/snapshot on
+# CME-NY4 makes exactly 12 engine lookups, one per licensee filed
+# within fiber reach of both ends (57 without the screen), and copying
+# every licensee's filings out of reach adds no memo entry to a Table 1
+# read per corridor path plus a Table 2 read (deterministic counts).
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
 	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
 	$(GO) test -run 'TestComplementaryPairsUnionBudget' -v ./internal/entity/
-	$(GO) test -run 'TestInheritRebuildBudget|TestUnknownLicenseeNoMemo' -v ./internal/serve/
+	$(GO) test -run 'TestInheritRebuildBudget|TestUnknownLicenseeNoMemo|TestSnapshotLookupBudget|TestOutOfReachAddsNoMemo' -v ./internal/serve/
 
 # Short fuzz pass over the bulk parsers and the two parsers the store's
 # single install path trusts. The lenient reader must never panic, must

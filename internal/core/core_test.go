@@ -520,6 +520,7 @@ func TestParseNetworkYAMLErrors(t *testing.T) {
 
 func TestReconstructInvalidOptions(t *testing.T) {
 	db := uls.NewDatabase()
+	two := DirectProvider(providerDB(t))
 	for _, opts := range []Options{
 		{},
 		{TowerMergeDecimals: 4, MaxFiberMeters: 50e3, StretchBound: 1.0},
@@ -533,6 +534,14 @@ func TestReconstructInvalidOptions(t *testing.T) {
 		nf := &NetworkFile{Licensee: "X", Date: "04/01/2020"}
 		if _, err := NetworkFromFile(nf, sites.All, opts); err == nil {
 			t.Errorf("NetworkFromFile accepted invalid options %+v", opts)
+		}
+		// The fiber-reach screen must not turn an invalid fiber reach
+		// into an empty answer.
+		if _, err := ConnectedNetworksVia(two, date20, pathNY4, opts); err == nil {
+			t.Errorf("ConnectedNetworksVia accepted invalid options %+v", opts)
+		}
+		if _, err := EvolutionVia(two, "Chain Net", pathNY4, []uls.Date{date20}, opts); err == nil {
+			t.Errorf("EvolutionVia accepted invalid options %+v", opts)
 		}
 	}
 	opts := DefaultOptions()

@@ -33,15 +33,30 @@ type EvolutionSweeper interface {
 
 // EvolutionVia reconstructs the licensee's network at each date through
 // the provider and reports the trajectory — the data behind Figs 1 and
-// 2. A provider that implements EvolutionSweeper (the snapshot engine)
-// resolves the sweep once per distinct anchor; otherwise the per-date
-// path runs — reconstructions are independent, so the provider may
-// resolve them in parallel. Over DirectProvider every date is rebuilt
-// independently, which makes it the correctness oracle for the sweep.
-// Either way the per-date license counts come from the event log's
-// prefix sums (O(log events) per point), not from re-deriving the full
-// per-licensee activity map at every date.
+// 2. A licensee with no filed location within opts.MaxFiberMeters of
+// one of the path's ends has no route at any date (see Reaches), so it
+// is answered from the event log's counts alone, without a snapshot.
+// Otherwise a provider that implements EvolutionSweeper (the snapshot
+// engine) resolves the sweep once per distinct anchor, and on any
+// other provider the per-date path runs — reconstructions are
+// independent, so the provider may resolve them in parallel. Over
+// DirectProvider every date is rebuilt independently, which makes it
+// the correctness oracle for the sweep. Either way the per-date license
+// counts come from the event log's prefix sums (O(log events) per
+// point), not from re-deriving the full per-licensee activity map at
+// every date.
 func EvolutionVia(p SnapshotProvider, licensee string, path sites.Path, dates []uls.Date, opts Options) ([]EvolutionPoint, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if !Reaches(p.DB(), []string{licensee}, path, opts) {
+		log := p.DB().EventLog()
+		out := make([]EvolutionPoint, len(dates))
+		for i, d := range dates {
+			out[i] = EvolutionPoint{Date: d, ActiveLicenses: log.ActiveCount(licensee, d)}
+		}
+		return out, nil
+	}
 	if s, ok := p.(EvolutionSweeper); ok {
 		return s.EvolutionSweep(licensee, path, dates, opts)
 	}

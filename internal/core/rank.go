@@ -21,24 +21,22 @@ type NetworkSummary struct {
 	Route      Route
 }
 
-// ConnectedNetworksVia reconstructs every licensee in the database at
-// the given date and returns those with an end-to-end route on the
-// path, ordered by increasing latency — the paper's Table 1. Snapshots
+// ConnectedNetworksVia returns the networks with an end-to-end route on
+// the path at the given date, ordered by increasing latency — the
+// paper's Table 1. It reconstructs only the licensees that filed a
+// location within opts.MaxFiberMeters of both ends
+// (ConnectedNetworksRequests): every other licensee's network has no
+// fiber tail at one end and so no route (see Reaches), and the table
+// equals the one built from every licensee in the database. Snapshots
 // come from the provider (memoized and fanned out across a worker pool
 // when the provider is the snapshot engine), and the per-licensee
 // route/APA summaries are computed concurrently. The result is
 // deterministic regardless of scheduling.
 func ConnectedNetworksVia(p SnapshotProvider, date uls.Date, path sites.Path, opts Options) ([]NetworkSummary, error) {
-	licensees := p.DB().Licensees()
-	reqs := make([]SnapshotRequest, len(licensees))
-	for i, name := range licensees {
-		reqs[i] = SnapshotRequest{
-			Licensees: []string{name},
-			Date:      date,
-			DCs:       []sites.DataCenter{path.From, path.To},
-			Opts:      opts,
-		}
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
+	reqs := ConnectedNetworksRequests(p.DB(), date, path, opts)
 	nets, err := p.Snapshots(reqs)
 	if err != nil {
 		return nil, err
@@ -59,7 +57,7 @@ func ConnectedNetworksVia(p SnapshotProvider, date uls.Date, path sites.Path, op
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				summaries[i] = summarize(licensees[i], nets[i], path)
+				summaries[i] = summarize(reqs[i].Licensees[0], nets[i], path)
 			}
 		}()
 	}

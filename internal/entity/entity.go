@@ -105,9 +105,13 @@ type Pair struct {
 // never modified.
 //
 // A loner is a candidate with links but no end-to-end route alone. Only
-// loner pairs that share a tower site (an equal Tower.Key) are
+// loner pairs that share a tower site (an equal Tower.Key) and whose
+// filings together reach both ends of the path (core.Reaches) are
 // reconstructed as unions; the others provably cannot connect, so the
-// result is exactly that of testing every pair:
+// result is exactly that of testing every pair. A union's towers are
+// its two members' filed locations, so if neither member filed within
+// opts.MaxFiberMeters of a data center the union has no fiber tail
+// there and no route. A site-disjoint pair cannot connect either:
 //
 //   - Stitching merges towers only by site cell. The union of two
 //     site-disjoint loners A and B is therefore two parts, A's towers
@@ -158,8 +162,9 @@ func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Pa
 		lonerNets = append(lonerNets, n)
 	}
 
-	// Request unions only for loner pairs sharing a site, in (A, B)
-	// order.
+	// Request unions only for loner pairs sharing a site and reaching
+	// both ends together, in (A, B) order.
+	db := p.DB()
 	var unionReqs []core.SnapshotRequest
 	shares := make([]bool, len(loners))
 	for a, n := range lonerNets {
@@ -173,9 +178,12 @@ func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Pa
 			if !shares[b] {
 				continue
 			}
+			pair := []string{loners[a], loners[b]}
+			if !core.Reaches(db, pair, path, opts) {
+				continue
+			}
 			unionReqs = append(unionReqs, core.SnapshotRequest{
-				Licensees: []string{loners[a], loners[b]},
-				Date:      date, DCs: dcs, Opts: opts,
+				Licensees: pair, Date: date, DCs: dcs, Opts: opts,
 			})
 		}
 	}

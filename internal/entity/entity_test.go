@@ -530,11 +530,28 @@ func TestComplementaryPairsTailMoves(t *testing.T) {
 	}
 }
 
-// TestComplementaryPairsUnionBudget gates the site screen's cost on the
+// filedNear reports whether any of the licensees filed a location
+// within the default fiber reach of dc, by a scan over their filings.
+func filedNear(t *testing.T, names []string, dc sites.DataCenter) bool {
+	t.Helper()
+	for _, name := range names {
+		for _, l := range db(t).ByLicensee(name) {
+			for _, loc := range l.Locations {
+				if geo.Distance(dc.Location, loc.Point) <= core.DefaultOptions().MaxFiberMeters {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestComplementaryPairsUnionBudget gates the screens' cost on the
 // synthetic corpus at the paper's snapshot date: on every corridor
 // path, ComplementaryPairsVia asks the engine for exactly one union per
-// loner pair that shares a tower site, at most one per twenty loner
-// pairs, and finds only the joint pair.
+// loner pair that shares a tower site and whose filings together reach
+// both ends, at most one per twenty loner pairs, and finds only the
+// joint pair.
 func TestComplementaryPairsUnionBudget(t *testing.T) {
 	eng := engine.New(db(t))
 	opts := core.DefaultOptions()
@@ -558,19 +575,24 @@ func TestComplementaryPairsUnionBudget(t *testing.T) {
 			}
 		}
 		all := len(loners) * (len(loners) - 1) / 2
-		sharing := 0
+		sharing, reaching := 0, 0
 		for i := range loners {
 			for j := i + 1; j < len(loners); j++ {
-				if sharesSite(t, eng, loners[i], loners[j], snapshot, path, opts) {
-					sharing++
+				if !sharesSite(t, eng, loners[i], loners[j], snapshot, path, opts) {
+					continue
+				}
+				sharing++
+				pair := []string{loners[i], loners[j]}
+				if filedNear(t, pair, path.From) && filedNear(t, pair, path.To) {
+					reaching++
 				}
 			}
 		}
-		t.Logf("%s: %d union requests, %d site-sharing of %d loner pairs",
-			path.Name(), len(cp.unions), sharing, all)
-		if len(cp.unions) != sharing {
-			t.Errorf("%s: %d union requests, want %d (the site-sharing loner pairs)",
-				path.Name(), len(cp.unions), sharing)
+		t.Logf("%s: %d union requests, %d site-sharing of %d loner pairs, %d of them reaching both ends",
+			path.Name(), len(cp.unions), sharing, all, reaching)
+		if len(cp.unions) != reaching {
+			t.Errorf("%s: %d union requests, want %d (the site-sharing loner pairs that reach both ends)",
+				path.Name(), len(cp.unions), reaching)
 		}
 		if len(cp.unions)*20 > all {
 			t.Errorf("%s: %d union requests exceed 1/20 of the %d loner pairs",

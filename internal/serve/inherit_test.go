@@ -41,7 +41,8 @@ func oneLicenseeChanged(t *testing.T, db *uls.Database, licensee string) *uls.Da
 // the three paper-date snapshot tables rebuilds exactly that licensee's
 // three families (one per corridor path) and serves every other
 // licensee's snapshot from the inherited memo. The count is
-// deterministic; without the carry-over all 3 × 57 rebuild. The answers
+// deterministic; without the carry-over all 3 × 12 requested families
+// (the licensees within fiber reach of both ends) rebuild. The answers
 // equal a fresh server's over the new corpus.
 func TestInheritRebuildBudget(t *testing.T) {
 	s := testServer(t, Config{})

@@ -118,9 +118,9 @@ func (s *Server) WarmStart() (*store.RecoveryReport, error) {
 }
 
 // prewarmDefaults primes the live generation's engine with the default
-// query surface — one snapshot per licensee on the default corridor
-// path at the paper snapshot date, exactly the requests the zero-
-// parameter /v1/snapshot fans out — and records the count. A warm boot
+// query surface — exactly the requests the zero-parameter /v1/snapshot
+// fans out (core.ConnectedNetworksRequests on the default corridor path
+// at the paper snapshot date) — and records the count. A warm boot
 // restores the corpus in milliseconds but an empty memo store; this
 // closes the remaining gap between "serving" and "fast".
 func (s *Server) prewarmDefaults() {
@@ -128,17 +128,8 @@ func (s *Server) prewarmDefaults() {
 	if g == nil {
 		return
 	}
-	path := sites.Path{From: sites.CME, To: sites.NY4}
-	licensees := g.db.Licensees()
-	reqs := make([]core.SnapshotRequest, len(licensees))
-	for i, name := range licensees {
-		reqs[i] = core.SnapshotRequest{
-			Licensees: []string{name},
-			Date:      paperSnapshot(),
-			DCs:       []sites.DataCenter{path.From, path.To},
-			Opts:      core.DefaultOptions(),
-		}
-	}
+	reqs := core.ConnectedNetworksRequests(g.db, paperSnapshot(),
+		sites.Path{From: sites.CME, To: sites.NY4}, core.DefaultOptions())
 	start := time.Now()
 	n := g.eng.Prewarm(context.Background(), reqs)
 	log.Printf("serve: prewarmed %d/%d default snapshots in %v", n, len(reqs), time.Since(start).Round(time.Millisecond))

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hftnetview/internal/sites"
 	"hftnetview/internal/store"
 )
 
@@ -94,7 +95,8 @@ func TestWarmStartServesPersistedGeneration(t *testing.T) {
 }
 
 // TestWarmStartPrewarmsEngine: a warm boot kicks a background prewarm
-// of the default query surface, so the first zero-parameter
+// of the default query surface — one snapshot per licensee within
+// fiber reach of both ends of CME-NY4 — so the first zero-parameter
 // /v1/snapshot after the prewarm settles is served entirely from the
 // memo store.
 func TestWarmStartPrewarmsEngine(t *testing.T) {
@@ -128,8 +130,9 @@ func TestWarmStartPrewarmsEngine(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got, want := s.PersistStatus().Prewarmed, len(corpus(t).Licensees()); got != want {
-		t.Fatalf("prewarmed %d snapshots, want one per licensee (%d)", got, want)
+	path := sites.Path{From: sites.CME, To: sites.NY4}
+	if got, want := s.PersistStatus().Prewarmed, len(reachingBoth(corpus(t), path)); got != want {
+		t.Fatalf("prewarmed %d snapshots, want one per licensee that filed within reach of both CME and NY4 (%d)", got, want)
 	}
 
 	before := s.Stats().Engine.Rebuilds

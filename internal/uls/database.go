@@ -29,6 +29,9 @@ type Database struct {
 
 	namesMu sync.Mutex
 	names   []string // lazy Licensees(); guarded by namesMu; invalidated by Add
+
+	reachMu sync.Mutex
+	reach   map[reachKey][]string // lazy LicenseesWithin; guarded by reachMu; invalidated by Add
 }
 
 // NewDatabase returns an empty database.
@@ -107,6 +110,9 @@ func (db *Database) invalidate() {
 	db.namesMu.Lock()
 	db.names = nil // licensee list is stale now
 	db.namesMu.Unlock()
+	db.reachMu.Lock()
+	db.reach = nil // fiber-reach lists are stale now
+	db.reachMu.Unlock()
 }
 
 // Generation returns a counter that changes whenever the database is

@@ -2,6 +2,7 @@ package uls
 
 import (
 	"math"
+	"slices"
 
 	"hftnetview/internal/geo"
 )
@@ -45,27 +46,45 @@ func buildSpatialIndex(licenses []*License) *spatialIndex {
 	return idx
 }
 
+// minDegreeMeters bounds the ground length of a degree under
+// geo.Distance from below. A degree of latitude is at least 110,574 m,
+// the WGS84 meridian degree at the equator (the haversine fallback's is
+// 111,195 m), and a degree of longitude at latitude φ at least
+// 111,195·cos φ m. So a geodesic of length r changes latitude by at
+// most r/minDegreeMeters degrees and, while it stays within latitude
+// ±φ, longitude by at most r/(minDegreeMeters·cos φ) degrees.
+const minDegreeMeters = 110_574
+
 // candidates returns the licenses whose locations might lie within
-// radius of center (every license in cells the search disc overlaps).
-func (idx *spatialIndex) candidates(center geo.Point, radius float64) []*License {
-	// Convert the radius to degree spans (latitude exact; longitude
-	// widened by the cos factor at the query latitude).
-	latSpan := radius / 111_000
-	cosLat := math.Cos(center.Lat * math.Pi / 180)
-	if cosLat < 0.1 {
-		cosLat = 0.1
+// radius of center: every license in the cells the search window
+// overlaps. The window bounds the disc: a point within radius differs
+// from the center by at most latSpan degrees of latitude, so the whole
+// geodesic to it stays below latitude |center.Lat|+latSpan, where a
+// degree of longitude is shortest. ok is false when the window reaches
+// a pole or the antimeridian, or holds more cells than the grid does;
+// the caller then scans every license instead, which also bounds the
+// cost of a radius longer than any distance on Earth.
+func (idx *spatialIndex) candidates(center geo.Point, radius float64) (out []*License, ok bool) {
+	latSpan := radius / minDegreeMeters
+	poleward := math.Abs(center.Lat) + latSpan
+	if !(poleward < 90) {
+		return nil, false
 	}
-	lonSpan := radius / (111_000 * cosLat)
+	lonSpan := latSpan / math.Cos(poleward*math.Pi/180)
+	if !(center.Lon-lonSpan > -180 && center.Lon+lonSpan < 180) {
+		return nil, false
+	}
+	minLat := math.Floor((center.Lat - latSpan) / gridCellDeg)
+	maxLat := math.Floor((center.Lat + latSpan) / gridCellDeg)
+	minLon := math.Floor((center.Lon - lonSpan) / gridCellDeg)
+	maxLon := math.Floor((center.Lon + lonSpan) / gridCellDeg)
+	if (maxLat-minLat+1)*(maxLon-minLon+1) > float64(len(idx.cells)) {
+		return nil, false
+	}
 
-	minLat := int32(math.Floor((center.Lat - latSpan) / gridCellDeg))
-	maxLat := int32(math.Floor((center.Lat + latSpan) / gridCellDeg))
-	minLon := int32(math.Floor((center.Lon - lonSpan) / gridCellDeg))
-	maxLon := int32(math.Floor((center.Lon + lonSpan) / gridCellDeg))
-
-	var out []*License
 	dedup := make(map[*License]bool)
-	for la := minLat; la <= maxLat; la++ {
-		for lo := minLon; lo <= maxLon; lo++ {
+	for la := int32(minLat); la <= int32(maxLat); la++ {
+		for lo := int32(minLon); lo <= int32(maxLon); lo++ {
 			for _, l := range idx.cells[gridKey{la, lo}] {
 				if !dedup[l] {
 					dedup[l] = true
@@ -74,7 +93,7 @@ func (idx *spatialIndex) candidates(center geo.Point, radius float64) []*License
 			}
 		}
 	}
-	return out
+	return out, true
 }
 
 // WithinRadiusIndexed is WithinRadius backed by the lazy grid index
@@ -86,8 +105,12 @@ func (db *Database) WithinRadiusIndexed(center geo.Point, radius float64) []*Lic
 	}
 	idx := db.spatial
 	db.spatialMu.Unlock()
+	cands, ok := idx.candidates(center, radius)
+	if !ok {
+		return db.WithinRadius(center, radius)
+	}
 	var out []*License
-	for _, l := range idx.candidates(center, radius) {
+	for _, l := range cands {
 		for _, loc := range l.Locations {
 			if geo.Distance(center, loc.Point) <= radius {
 				out = append(out, l)
@@ -97,4 +120,41 @@ func (db *Database) WithinRadiusIndexed(center geo.Point, radius float64) []*Lic
 	}
 	SortLicenses(out)
 	return out
+}
+
+// LicenseesWithin returns the distinct names of the licensees with any
+// filed location within radius meters of center (the WithinRadius
+// test, read off the grid), sorted. Each (center, radius) answer is
+// built on first use and kept until the next mutation, like
+// Licensees(); the returned slice is shared, and callers must not
+// modify it. The snapshot layer screens licensees by fiber reach with
+// it (core.Reaches, core.ConnectedNetworksRequests).
+func (db *Database) LicenseesWithin(center geo.Point, radius float64) []string {
+	k := reachKey{center, radius}
+	db.reachMu.Lock()
+	defer db.reachMu.Unlock()
+	if names, ok := db.reach[k]; ok {
+		return names
+	}
+	var names []string
+	for _, l := range db.WithinRadiusIndexed(center, radius) {
+		names = append(names, l.Licensee)
+	}
+	slices.Sort(names)
+	names = slices.Clip(slices.Compact(names))
+	// A NaN key never equals itself, so caching it would only grow the
+	// map.
+	if k == k {
+		if db.reach == nil {
+			db.reach = make(map[reachKey][]string)
+		}
+		db.reach[k] = names
+	}
+	return names
+}
+
+// reachKey names one cached LicenseesWithin answer.
+type reachKey struct {
+	center geo.Point
+	radius float64
 }
