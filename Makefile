@@ -154,9 +154,15 @@ cover: race
 # /v1/evolution and /v1/watch answer 404 and add no memo entry (a
 # deterministic count). Reach screen: a paper-date /v1/snapshot on
 # CME-NY4 makes exactly 12 engine lookups, one per licensee filed
-# within fiber reach of both ends (57 without the screen), and copying
-# every licensee's filings out of reach adds no memo entry to a Table 1
-# read per corridor path plus a Table 2 read (deterministic counts).
+# within fiber reach of both ends (57 without the screen), and a
+# /v1/apa 25: the same 12 for Table 1 and again for the
+# complementary-pair batch, which asks for no other licensee because
+# none shares a filed site cell with a pair partner, plus one union (70
+# when the batch asked for every licensee). Copying every licensee's
+# filings out of reach adds no memo entry to a Table 1 and a /v1/apa
+# read per corridor path plus a Table 2 read: 39 entries with and
+# without the copies, against 174 and 345 when the batch asked for
+# every licensee (deterministic counts).
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
 	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/

@@ -527,6 +527,9 @@ func TestReconstructInvalidOptions(t *testing.T) {
 		{TowerMergeDecimals: 0, MaxFiberMeters: 50e3, StretchBound: 1.05},
 		// Past 9 decimals a site cell may not fit an int64.
 		{TowerMergeDecimals: 10, MaxFiberMeters: 50e3, StretchBound: 1.05},
+		// NaN fails every comparison, so it must fail the check too.
+		{TowerMergeDecimals: 4, MaxFiberMeters: math.NaN(), StretchBound: 1.05},
+		{TowerMergeDecimals: 4, MaxFiberMeters: 50e3, StretchBound: math.NaN()},
 	} {
 		if _, err := Reconstruct(db, "X", date20, sites.All, opts); err == nil {
 			t.Errorf("Reconstruct accepted invalid options %+v", opts)

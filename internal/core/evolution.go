@@ -46,7 +46,7 @@ type EvolutionSweeper interface {
 // point), not from re-deriving the full per-licensee activity map at
 // every date.
 func EvolutionVia(p SnapshotProvider, licensee string, path sites.Path, dates []uls.Date, opts Options) ([]EvolutionPoint, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if !Reaches(p.DB(), []string{licensee}, path, opts) {

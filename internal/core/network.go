@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -43,15 +42,12 @@ type Options struct {
 	StretchBound float64
 }
 
-// maxTowerMergeDecimals bounds Options.TowerMergeDecimals. At 9
-// decimals a valid coordinate's site cell (|x| ≤ 180, see cellOf) is
-// below 2^38, so it fits an int64 and renders exactly.
-const maxTowerMergeDecimals = 9
-
-// validate rejects options reconstruction cannot honor.
-func (o Options) validate() error {
-	if o.TowerMergeDecimals <= 0 || o.TowerMergeDecimals > maxTowerMergeDecimals ||
-		o.MaxFiberMeters <= 0 || o.StretchBound <= 1 {
+// Validate rejects options reconstruction cannot honor, NaN included.
+// Every analysis calls it before it screens anything, so an invalid
+// reach is an error and never an empty answer.
+func (o Options) Validate() error {
+	if o.TowerMergeDecimals <= 0 || o.TowerMergeDecimals > uls.MaxSiteDecimals ||
+		!(o.MaxFiberMeters > 0) || !(o.StretchBound > 1) {
 		return fmt.Errorf("core: invalid options %+v", o)
 	}
 	return nil
@@ -189,55 +185,6 @@ func (n *Network) answers(path sites.Path) *pathAnswers {
 	return a
 }
 
-// towerCell is a site cell: a coordinate quantized onto the
-// 10^-decimals grid. Stitching merges two filed locations into one
-// tower iff their cells are equal.
-type towerCell struct{ lat, lon int64 }
-
-// pow10 holds 10^d for d ≤ maxTowerMergeDecimals.
-var pow10 = [maxTowerMergeDecimals + 1]int64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-
-// cellOf quantizes p onto the grid of the given decimals. The
-// quantization is floor(x·scale + 0.5): round-half-up is translation
-// invariant, so a tower on a cell boundary and one just east of it land
-// in the same cell in both hemispheres. (math.Round's half-away-from-zero
-// would put the boundary point in the western cell for negative
-// longitudes — the corridor's — but the eastern cell for positive ones,
-// silently splitting co-located towers depending on sign.) An integer
-// cell has no -0, so there is no distinct "-0.0000" key either.
-func cellOf(p geo.Point, decimals int) towerCell {
-	scale := float64(pow10[decimals])
-	return towerCell{
-		lat: int64(math.Floor(p.Lat*scale + 0.5)),
-		lon: int64(math.Floor(p.Lon*scale + 0.5)),
-	}
-}
-
-// appendKey appends the cell's canonical "lat,lon" key, each coordinate
-// with exactly decimals fraction digits: byte for byte what %.*f prints
-// for cell/10^decimals, without fmt's float formatting.
-func (c towerCell) appendKey(b []byte, decimals int) []byte {
-	b = appendFixed(b, c.lat, decimals)
-	b = append(b, ',')
-	return appendFixed(b, c.lon, decimals)
-}
-
-// appendFixed appends v/10^decimals in fixed-point notation.
-func appendFixed(b []byte, v int64, decimals int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	p := pow10[decimals]
-	b = strconv.AppendInt(b, v/p, 10)
-	// p + v%p is a '1' followed by the zero-padded fraction digits; the
-	// '1' becomes the decimal point.
-	dot := len(b)
-	b = strconv.AppendInt(b, p+v%p, 10)
-	b[dot] = '.'
-	return b
-}
-
 // Reconstruct rebuilds the named licensee's network as of the given date
 // from its active licenses, stitching links that share tower sites
 // (§2.3), and attaches fiber tails to every data center in dcs that has a
@@ -273,7 +220,7 @@ func UnionLabel(licensees []string) string {
 }
 
 func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites.DataCenter, opts Options) (*Network, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	n := &Network{
@@ -294,10 +241,10 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 
 	// Towers are deduplicated on their integer site cell; the string key
 	// is rendered once per distinct tower. Tower i is graph node i.
-	towerIdx := make(map[towerCell]int)
+	towerIdx := make(map[uls.SiteCell]int)
 	var keyBuf []byte
 	ensureTower := func(loc uls.Location) int {
-		cell := cellOf(loc.Point, opts.TowerMergeDecimals)
+		cell := uls.SiteCellOf(loc.Point, opts.TowerMergeDecimals)
 		if i, ok := towerIdx[cell]; ok {
 			if loc.SupportHeight > n.Towers[i].HeightMeters {
 				n.Towers[i].HeightMeters = loc.SupportHeight
@@ -306,7 +253,7 @@ func reconstructLinks(links []uls.Link, label string, date uls.Date, dcs []sites
 		}
 		i := len(n.Towers)
 		towerIdx[cell] = i
-		keyBuf = cell.appendKey(keyBuf[:0], opts.TowerMergeDecimals)
+		keyBuf = cell.AppendKey(keyBuf[:0], opts.TowerMergeDecimals)
 		n.Towers = append(n.Towers, Tower{
 			Key:          string(keyBuf),
 			Point:        loc.Point,

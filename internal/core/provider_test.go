@@ -58,7 +58,7 @@ func TestTowerKeyNoNegativeZero(t *testing.T) {
 
 // towerKey is the Tower.Key that stitching gives a tower at p.
 func towerKey(p geo.Point, decimals int) string {
-	return string(cellOf(p, decimals).appendKey(nil, decimals))
+	return string(uls.SiteCellOf(p, decimals).AppendKey(nil, decimals))
 }
 
 // sprintfTowerKey is the fmt-based tower key that integer site cells
@@ -90,7 +90,7 @@ func TestTowerKeyMatchesSprintf(t *testing.T) {
 			t.Fatalf("towerKey(%v, %d) = %q, want %q", p, d, got, want)
 		}
 	}
-	for d := 1; d <= maxTowerMergeDecimals; d++ {
+	for d := 1; d <= uls.MaxSiteDecimals; d++ {
 		for _, lat := range []float64{-90, 0, 90} {
 			for _, lon := range []float64{-180, 0, 180} {
 				check(geo.Point{Lat: lat, Lon: lon}, d)
@@ -99,7 +99,7 @@ func TestTowerKeyMatchesSprintf(t *testing.T) {
 	}
 	const n = 1 << 20
 	for i := 0; i < n; i++ {
-		d := 1 + (i/3)%maxTowerMergeDecimals // every case at every d
+		d := 1 + (i/3)%uls.MaxSiteDecimals // every case at every d
 		var p geo.Point
 		switch i % 3 {
 		case 0:

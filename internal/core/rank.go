@@ -33,7 +33,7 @@ type NetworkSummary struct {
 // route/APA summaries are computed concurrently. The result is
 // deterministic regardless of scheduling.
 func ConnectedNetworksVia(p SnapshotProvider, date uls.Date, path sites.Path, opts Options) ([]NetworkSummary, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	reqs := ConnectedNetworksRequests(p.DB(), date, path, opts)

@@ -48,7 +48,8 @@ func reachesDC(db *uls.Database, licensees []string, dc sites.DataCenter, opts O
 // licensee with a filed location within opts.MaxFiberMeters of both
 // ends, in name order. No other licensee's network can have a route on
 // the path (see Reaches). A warm-booted server primes its memo with
-// exactly these requests.
+// exactly these requests, and the complementary-pair analysis asks for
+// them first.
 func ConnectedNetworksRequests(db *uls.Database, date uls.Date, path sites.Path, opts Options) []SnapshotRequest {
 	from := db.LicenseesWithin(path.From.Location, opts.MaxFiberMeters)
 	to := db.LicenseesWithin(path.To.Location, opts.MaxFiberMeters)

@@ -176,7 +176,7 @@ func ParseNetworkYAML(data []byte) (*NetworkFile, error) {
 // latencies are recomputed from the tower coordinates (the file's
 // rounded lengths are informational).
 func NetworkFromFile(nf *NetworkFile, dcs []sites.DataCenter, opts Options) (*Network, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	date, err := uls.ParseDate(nf.Date)
@@ -184,7 +184,7 @@ func NetworkFromFile(nf *NetworkFile, dcs []sites.DataCenter, opts Options) (*Ne
 		return nil, fmt.Errorf("core: network file date: %w", err)
 	}
 	// Only an in-range coordinate has a site cell that fits an int64
-	// (see maxTowerMergeDecimals).
+	// (see uls.MaxSiteDecimals).
 	for i, tr := range nf.Towers {
 		if !tr.Point.Valid() {
 			return nil, fmt.Errorf("core: tower %d has invalid coordinates %v", i, tr.Point)

@@ -13,6 +13,7 @@ package entity
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"hftnetview/internal/core"
 	"hftnetview/internal/sites"
@@ -99,10 +100,10 @@ type Pair struct {
 // licensee in the database; repeated names count once): pairs where
 // neither member has an end-to-end route on the path at the date, but
 // their union does. Pairs are returned sorted by (A, B); within a pair
-// A < B. The per-licensee screen and the union reconstructions are both
-// resolved as provider batches, so the snapshot engine fans them out and
-// reuses any snapshots other analyses already built. candidates is
-// never modified.
+// A < B. The per-licensee snapshots and the union reconstructions are
+// resolved as provider batches, so the snapshot engine fans them out
+// and reuses any snapshots other analyses already built. candidates is
+// never modified, and invalid options are an error.
 //
 // A loner is a candidate with links but no end-to-end route alone. Only
 // loner pairs that share a tower site (an equal Tower.Key) and whose
@@ -126,50 +127,102 @@ type Pair struct {
 //     k nearest in A alone, at the same distance.
 //   - So the route already exists in A's own network, which contradicts
 //     A being a loner.
+//
+// The same two facts decide which candidates' own snapshots are needed.
+// A candidate that reaches both ends (core.ConnectedNetworksRequests)
+// is always asked for. Any other candidate is asked for only if it
+// shares a filed site cell (uls.Database.SiteSharers, the cells
+// stitching merges towers by) with a partner that could complete it: a
+// both-end loner, or a candidate that reaches the end it misses. Every
+// tower is a filed location, so two networks that share a tower site
+// share a filed cell; a candidate with no such partner is in no
+// connecting pair, and leaving its snapshot out changes no answer. The
+// screen walks the partners' lists, not every candidate's.
 func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Path,
 	candidates []string, opts core.Options) ([]Pair, error) {
-	if candidates == nil {
-		candidates = p.DB().Licensees()
+	// An invalid reach would screen every candidate out and answer
+	// nothing instead of an error.
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	// A sorted, duplicate-free copy: the nil default is the database's
-	// shared name list, which must not be sorted in place either.
+	db := p.DB()
+	has := func(sorted []string, name string) bool {
+		_, ok := slices.BinarySearch(sorted, name)
+		return ok
+	}
+	// A sorted, duplicate-free copy of an explicit candidate list; nil
+	// makes every licensee a candidate.
 	names := slices.Compact(slices.Sorted(slices.Values(candidates)))
+	isCandidate := func(name string) bool { return candidates == nil || has(names, name) }
+	from := db.LicenseesWithin(path.From.Location, opts.MaxFiberMeters)
+	to := db.LicenseesWithin(path.To.Location, opts.MaxFiberMeters)
 	dcs := []sites.DataCenter{path.From, path.To}
 
-	// Screen per-licensee connectivity; connected licensees cannot be
-	// part of a complementary pair (they are networks already).
-	reqs := make([]core.SnapshotRequest, len(names))
-	for i, name := range names {
-		reqs[i] = core.SnapshotRequest{
-			Licensees: []string{name}, Date: date, DCs: dcs, Opts: opts,
-		}
-	}
+	// The candidates that reach both ends; connected ones are networks
+	// already, not pair members.
+	reqs := core.ConnectedNetworksRequests(db, date, path, opts)
+	reqs = slices.DeleteFunc(reqs, func(r core.SnapshotRequest) bool {
+		return !isCandidate(r.Licensees[0])
+	})
 	nets, err := p.Snapshots(reqs)
 	if err != nil {
 		return nil, err
 	}
-	var loners []string
-	var lonerNets []*core.Network
-	bySite := make(map[string][]int) // Tower.Key -> loner indices
-	for i, n := range nets {
-		if n.Connected(path) || len(n.Links) == 0 {
+	loners := appendLoners(nil, reqs, nets, path)
+
+	// The other candidates a partner could complete: a both-end loner's
+	// site sharers, and the site-sharing pairs of one-end candidates
+	// that reach opposite ends, found from the shorter reach list.
+	sharers := db.SiteSharers(opts.TowerMergeDecimals)
+	var others []string
+	for _, l := range loners {
+		for _, s := range sharers[l.name] {
+			if !(has(from, s) && has(to, s)) && isCandidate(s) {
+				others = append(others, s)
+			}
+		}
+	}
+	short, long := from, to
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	for _, a := range short {
+		if has(long, a) || !isCandidate(a) {
 			continue
 		}
-		for _, tw := range n.Towers {
-			bySite[tw.Key] = append(bySite[tw.Key], len(loners))
+		for _, b := range sharers[a] {
+			if has(long, b) && !has(short, b) && isCandidate(b) {
+				others = append(others, a, b)
+			}
 		}
-		loners = append(loners, names[i])
-		lonerNets = append(lonerNets, n)
 	}
+	slices.Sort(others)
+	others = slices.Compact(others)
+	reqs = make([]core.SnapshotRequest, len(others))
+	for i := range others {
+		reqs[i] = core.SnapshotRequest{
+			Licensees: others[i : i+1 : i+1], Date: date, DCs: dcs, Opts: opts,
+		}
+	}
+	if nets, err = p.Snapshots(reqs); err != nil {
+		return nil, err
+	}
+	loners = appendLoners(loners, reqs, nets, path)
+	slices.SortFunc(loners, func(a, b loner) int { return strings.Compare(a.name, b.name) })
 
 	// Request unions only for loner pairs sharing a site and reaching
 	// both ends together, in (A, B) order.
-	db := p.DB()
+	bySite := make(map[string][]int) // Tower.Key -> loner indices
+	for i, l := range loners {
+		for _, tw := range l.net.Towers {
+			bySite[tw.Key] = append(bySite[tw.Key], i)
+		}
+	}
 	var unionReqs []core.SnapshotRequest
 	shares := make([]bool, len(loners))
-	for a, n := range lonerNets {
+	for a, l := range loners {
 		clear(shares)
-		for _, tw := range n.Towers {
+		for _, tw := range l.net.Towers {
 			for _, b := range bySite[tw.Key] {
 				shares[b] = true
 			}
@@ -178,7 +231,7 @@ func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Pa
 			if !shares[b] {
 				continue
 			}
-			pair := []string{loners[a], loners[b]}
+			pair := []string{l.name, loners[b].name}
 			if !core.Reaches(db, pair, path, opts) {
 				continue
 			}
@@ -206,4 +259,21 @@ func ComplementaryPairsVia(p core.SnapshotProvider, date uls.Date, path sites.Pa
 		})
 	}
 	return out, nil
+}
+
+// loner is a candidate with links but no route on the path alone.
+type loner struct {
+	name string
+	net  *core.Network
+}
+
+// appendLoners appends the loners among the single-licensee networks
+// got for reqs.
+func appendLoners(loners []loner, reqs []core.SnapshotRequest, got []*core.Network, path sites.Path) []loner {
+	for i, n := range got {
+		if !n.Connected(path) && len(n.Links) > 0 {
+			loners = append(loners, loner{reqs[i].Licensees[0], n})
+		}
+	}
+	return loners
 }

@@ -2,6 +2,7 @@ package entity
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -239,12 +240,14 @@ func bruteForcePairs(p core.SnapshotProvider, date uls.Date, path sites.Path,
 	return out, nil
 }
 
-// countingProvider records every union (multi-licensee) request that
-// reaches the wrapped provider.
+// countingProvider records every request that reaches the wrapped
+// provider: single-licensee requests by name, unions (multi-licensee
+// requests) by member list.
 type countingProvider struct {
 	core.SnapshotProvider
-	mu     sync.Mutex
-	unions [][]string
+	mu      sync.Mutex
+	singles []string
+	unions  [][]string
 }
 
 func (c *countingProvider) record(reqs ...core.SnapshotRequest) {
@@ -253,6 +256,8 @@ func (c *countingProvider) record(reqs ...core.SnapshotRequest) {
 	for _, r := range reqs {
 		if len(r.Licensees) > 1 {
 			c.unions = append(c.unions, r.Licensees)
+		} else {
+			c.singles = append(c.singles, r.Licensees...)
 		}
 	}
 }
@@ -527,6 +532,69 @@ func TestComplementaryPairsTailMoves(t *testing.T) {
 	if len(fiberTowers(u, dcW)) != 1 || len(fiberTowers(u, dcE)) != 1 || u.Connected(pathWE) {
 		t.Errorf("Bravo+Charlie: want one tail per data center and no route; tails %v / %v, connected %v",
 			fiberTowers(u, dcW), fiberTowers(u, dcE), u.Connected(pathWE))
+	}
+}
+
+// TestComplementaryPairsNeitherEndBridge: Loner files near both W and
+// E but has a gap in the middle, and Bridge, which files near neither,
+// spans the gap. Their union connects, so the candidate screen must ask
+// for Bridge's own snapshot although Bridge reaches no end. Two decoys
+// share no site with anyone: one files near neither end, one only near
+// W. Only Loner and Bridge may be asked for alone.
+func TestComplementaryPairsNeitherEndBridge(t *testing.T) {
+	w1, m1 := geo.Point{Lat: 40, Lon: -87.875}, geo.Point{Lat: 40, Lon: -87.25}
+	m2, e1 := geo.Point{Lat: 40, Lon: -86.75}, geo.Point{Lat: 40, Lon: -86.125}
+	db := chainDB(t,
+		chain{"Loner", []geo.Point{w1, m1}},
+		chain{"Loner", []geo.Point{m2, e1}},
+		chain{"Bridge", []geo.Point{m1, {Lat: 40.25, Lon: -87}, m2}},
+		chain{"Decoy Neither", []geo.Point{{Lat: 39.5, Lon: -87.25}, {Lat: 39.5, Lon: -86.75}}},
+		chain{"Decoy West", []geo.Point{{Lat: 39.75, Lon: -87.9375}, {Lat: 39.75, Lon: -87.25}}},
+	)
+	// The reach classes the fixture means, checked by distance.
+	near := func(name string, dc sites.DataCenter) bool {
+		for _, l := range db.ByLicensee(name) {
+			for _, loc := range l.Locations {
+				if geo.Distance(dc.Location, loc.Point) <= core.DefaultOptions().MaxFiberMeters {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for name, want := range map[string][2]bool{
+		"Loner": {true, true}, "Bridge": {false, false},
+		"Decoy Neither": {false, false}, "Decoy West": {true, false},
+	} {
+		if got := [2]bool{near(name, dcW), near(name, dcE)}; got != want {
+			t.Fatalf("%s files near (W, E) = %v, want %v", name, got, want)
+		}
+	}
+
+	checkHandBuilt(t, db, [][2]string{{"Bridge", "Loner"}}, 1)
+	for _, tails := range []int{1, 2, 0} {
+		opts := core.DefaultOptions()
+		opts.FiberTailsPerDC = tails
+		cp := &countingProvider{SnapshotProvider: core.DirectProvider(db)}
+		if _, err := ComplementaryPairsVia(cp, snapshot, pathWE, nil, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Sorted(slices.Values(cp.singles)); !slices.Equal(got, []string{"Bridge", "Loner"}) {
+			t.Errorf("tails=%d: single-licensee requests %v, want only [Bridge Loner]", tails, got)
+		}
+	}
+}
+
+// TestComplementaryPairsInvalidOptions: the candidate screen must not
+// turn invalid options, a NaN fiber reach among them, into an empty
+// answer.
+func TestComplementaryPairsInvalidOptions(t *testing.T) {
+	nan := core.DefaultOptions()
+	nan.MaxFiberMeters = math.NaN()
+	for _, opts := range []core.Options{{}, nan} {
+		if pairs, err := ComplementaryPairsVia(core.DirectProvider(db(t)), snapshot, pathNY4, nil, opts); err == nil {
+			t.Errorf("options %+v accepted, pairs %+v", opts, pairs)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"hftnetview/internal/synth"
+	"hftnetview/internal/uls"
 )
 
 // The admission queue and circuit breaker sit on every request, so
@@ -94,6 +97,63 @@ func BenchmarkMiddlewareStack(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d", rec.Code)
+		}
+	}
+}
+
+// BenchmarkWarmQuery: one warm request to each /v1 endpoint at the
+// paper date through Server.Handler, on the synthetic corpus (1x) and
+// on ten times its licensees (10x: nine copies of every licensee's
+// filings moved out of fiber reach, synth.DistantCopies), so the
+// sizes differ only in what cannot reach the corridor. Each sub-
+// benchmark warms a fresh server's memo with one request first, then
+// reports the engine lookups a request makes (lookups/op) and the memo
+// entries its key set holds (memo-entries). E18's in-process table
+// comes from
+//
+//	go test -run '^$' -bench BenchmarkWarmQuery -benchmem -cpu 2 ./internal/serve/
+func BenchmarkWarmQuery(b *testing.B) {
+	far, err := synth.DistantCopies(corpus(b), 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		db   *uls.Database
+	}{{"1x", corpus(b)}, {"10x", far}} {
+		for _, q := range []struct{ name, url string }{
+			{"snapshot", "/v1/snapshot?path=CME-NY4&date=2020-04-01"},
+			{"rank", "/v1/rank?date=2020-04-01"},
+			{"evolution", "/v1/evolution?licensee=New+Line+Networks&path=CME-NY4"},
+			{"apa", "/v1/apa?path=CME-NY4&date=2020-04-01"},
+			{"watch", "/v1/watch?licensee=New+Line+Networks&path=CME-NY4&from=2020&to=2020&speed=0"},
+		} {
+			b.Run(c.name+"/"+q.name, func(b *testing.B) {
+				s := New(Config{})
+				s.SetCorpus(c.db, "warm query benchmark")
+				h := s.Handler()
+				if rec := get(b, h, q.url); rec.Code != http.StatusOK {
+					b.Fatalf("%s: status %d, body %s", q.url, rec.Code, rec.Body.String())
+				}
+				lookups := func() int64 {
+					st := s.Stats().Engine
+					return st.Hits + st.Misses + st.Coalesced
+				}
+				before := lookups()
+				req := httptest.NewRequest("GET", q.url, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						b.Fatalf("%s: status %d", q.url, rec.Code)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(lookups()-before)/float64(b.N), "lookups/op")
+				b.ReportMetric(float64(s.Stats().Engine.Entries), "memo-entries")
+			})
 		}
 	}
 }

@@ -32,6 +32,9 @@ type Database struct {
 
 	reachMu sync.Mutex
 	reach   map[reachKey][]string // lazy LicenseesWithin; guarded by reachMu; invalidated by Add
+
+	sharersMu sync.Mutex
+	sharers   map[int]map[string][]string // lazy SiteSharers by precision; guarded by sharersMu; invalidated by Add
 }
 
 // NewDatabase returns an empty database.
@@ -113,6 +116,9 @@ func (db *Database) invalidate() {
 	db.reachMu.Lock()
 	db.reach = nil // fiber-reach lists are stale now
 	db.reachMu.Unlock()
+	db.sharersMu.Lock()
+	db.sharers = nil // site-sharing index is stale now
+	db.sharersMu.Unlock()
 }
 
 // Generation returns a counter that changes whenever the database is
