@@ -142,7 +142,15 @@ cover: race
 # points. Same-process ratio, so it holds on any runner; absolute
 # numbers are recorded in BENCH_*.json. Snapshot hit (E18): a warm memo hit allocates at most
 # once (the header carrying the requested date), without the race
-# detector, whose instrumentation allocates on its own. Union budget
+# detector, whose instrumentation allocates on its own. Batch hit
+# (E18): a warm batch of the 12 paper-date CME-NY4 requests allocates
+# at most 3 times, its entry list, result slice and one block of
+# headers (17 when a worker pool resolved the batch a lookup at a
+# time), also without the race detector. Batch start: with the rebuild
+# semaphore held, a batch of every licensee at the paper date, 57
+# misses, registers all 57 before any rebuild runs (a deterministic
+# count; the worker pool registered only GOMAXPROCS of them, 2 on a
+# 2-core runner). Union budget
 # (E13): the complementary-pair analysis builds a union only for loner
 # pairs that share a tower site and together file within fiber reach of
 # both ends, at most 1 in 20 loner pairs at the paper date (a
@@ -165,7 +173,7 @@ cover: race
 # every licensee (deterministic counts).
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget' -v .
-	$(GO) test -run 'TestSnapshotHitAllocs' -v ./internal/engine/
+	$(GO) test -run 'TestSnapshotHitAllocs|TestSnapshotsHitAllocs|TestSnapshotsStartsEveryMiss' -v ./internal/engine/
 	$(GO) test -run 'TestComplementaryPairsUnionBudget' -v ./internal/entity/
 	$(GO) test -run 'TestInheritRebuildBudget|TestUnknownLicenseeNoMemo|TestSnapshotLookupBudget|TestOutOfReachAddsNoMemo' -v ./internal/serve/
 

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hftnetview/internal/sites"
 	"hftnetview/internal/uls"
@@ -73,39 +74,44 @@ func (p *directProvider) Snapshots(reqs []SnapshotRequest) ([]*Network, error) {
 	return SnapshotsParallel(p, reqs)
 }
 
-// SnapshotsParallel resolves reqs through p.Snapshot with a bounded
-// worker pool, preserving request order. Providers whose Snapshot is
+// SnapshotsParallel resolves reqs through p.Snapshot in parallel
+// (forEach), preserving request order. Providers whose Snapshot is
 // concurrency-safe can use it as their Snapshots implementation.
 func SnapshotsParallel(p SnapshotProvider, reqs []SnapshotRequest) ([]*Network, error) {
 	nets := make([]*Network, len(reqs))
 	errs := make([]error, len(reqs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				nets[i], errs[i] = p.Snapshot(reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	forEach(len(reqs), func(i int) {
+		nets[i], errs[i] = p.Snapshot(reqs[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return nets, nil
+}
+
+// forEach runs f(i) for every i in [0, n) and returns when all have
+// finished. The caller works through the indices itself, claiming each
+// from a shared counter, and up to GOMAXPROCS−1 helper goroutines claim
+// from the same counter; so a batch of cheap items (memo hits,
+// memoized routes) finishes on the caller before a helper is even
+// scheduled, and a batch of expensive ones still uses every core. The
+// caller waits for the items, not for the helpers: a helper that starts
+// late finds nothing left and exits.
+func forEach(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(n)
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i)
+			wg.Done()
+		}
+	}
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		go work()
+	}
+	work()
+	wg.Wait()
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"hftnetview/internal/sites"
 	"hftnetview/internal/uls"
@@ -28,10 +26,12 @@ type NetworkSummary struct {
 // (ConnectedNetworksRequests): every other licensee's network has no
 // fiber tail at one end and so no route (see Reaches), and the table
 // equals the one built from every licensee in the database. Snapshots
-// come from the provider (memoized and fanned out across a worker pool
-// when the provider is the snapshot engine), and the per-licensee
-// route/APA summaries are computed concurrently. The result is
-// deterministic regardless of scheduling.
+// come from the provider (memoized, with cold rebuilds fanned out
+// across a worker pool, when the provider is the snapshot engine), and
+// the per-licensee route/APA summaries run in parallel (forEach): warm
+// summaries are memoized per network and finish on the caller, cold
+// ones use every core. The result is deterministic regardless of
+// scheduling.
 func ConnectedNetworksVia(p SnapshotProvider, date uls.Date, path sites.Path, opts Options) ([]NetworkSummary, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -43,29 +43,9 @@ func ConnectedNetworksVia(p SnapshotProvider, date uls.Date, path sites.Path, op
 	}
 
 	summaries := make([]*NetworkSummary, len(nets))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(nets) {
-		workers = len(nets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				summaries[i] = summarize(reqs[i].Licensees[0], nets[i], path)
-			}
-		}()
-	}
-	for i := range nets {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	forEach(len(nets), func(i int) {
+		summaries[i] = summarize(reqs[i].Licensees[0], nets[i], path)
+	})
 
 	var out []NetworkSummary
 	for _, s := range summaries {

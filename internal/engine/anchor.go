@@ -66,18 +66,18 @@ func anchorOf(log *uls.EventLog, licensees []string, d uls.Date) uls.Date {
 }
 
 // EvolutionSweep resolves a longitudinal sweep anchor by anchor: the
-// dates collapse onto their distinct anchors, each anchor's snapshot
-// is resolved and its end-to-end route computed once, and per-date
-// license counts come from the log's prefix sums. It implements
-// core.EvolutionSweeper, so core.EvolutionVia over the engine takes
-// this path automatically.
+// dates collapse onto their distinct anchors, the anchors' snapshots
+// are resolved as one batch and each end-to-end route is computed
+// once, and per-date license counts come from the log's prefix sums.
+// It implements core.EvolutionSweeper, so core.EvolutionVia over the
+// engine takes this path automatically.
 func (e *Engine) EvolutionSweep(licensee string, path sites.Path, dates []uls.Date, opts core.Options) ([]core.EvolutionPoint, error) {
 	return e.EvolutionSweepContext(context.Background(), licensee, path, dates, opts)
 }
 
 // EvolutionSweepContext is EvolutionSweep with a caller deadline
-// bounding each anchor snapshot (the serving tier's per-request
-// context).
+// bounding the anchor batch (the serving tier's per-request context).
+// Cold anchors rebuild in parallel, under the worker semaphore.
 func (e *Engine) EvolutionSweepContext(ctx context.Context, licensee string, path sites.Path, dates []uls.Date, opts core.Options) ([]core.EvolutionPoint, error) {
 	log := e.db.EventLog()
 	dcs := []sites.DataCenter{path.From, path.To}
@@ -99,18 +99,23 @@ func (e *Engine) EvolutionSweepContext(ctx context.Context, licensee string, pat
 		g.idxs = append(g.idxs, i)
 	}
 
-	out := make([]core.EvolutionPoint, len(dates))
-	for _, g := range order {
-		n, err := e.SnapshotContext(ctx, core.SnapshotRequest{
+	reqs := make([]core.SnapshotRequest, len(order))
+	for k, g := range order {
+		reqs[k] = core.SnapshotRequest{
 			Licensees: []string{licensee},
 			Date:      g.anchor,
 			DCs:       dcs,
 			Opts:      opts,
-		})
-		if err != nil {
-			return nil, err
 		}
-		r, connected := n.BestRoute(path)
+	}
+	nets, err := e.SnapshotsContext(ctx, reqs)
+	if err != nil {
+		return nil, err
+	}
+
+	out := make([]core.EvolutionPoint, len(dates))
+	for k, g := range order {
+		r, connected := nets[k].BestRoute(path)
 		for _, i := range g.idxs {
 			pt := core.EvolutionPoint{
 				Date:           dates[i],

@@ -37,7 +37,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hftnetview/internal/core"
@@ -85,11 +84,12 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithRebuildTimeout caps how long any single SnapshotContext call
-// waits for its reconstruction (queueing included). A request that
-// exceeds the cap fails with an error classified as FailureTimeout;
-// the rebuild itself keeps running and, on success, primes the memo
-// store for the next attempt. 0 (the default) waits forever.
+// WithRebuildTimeout caps how long one SnapshotContext call, or one
+// SnapshotsContext batch as a whole, waits for its reconstructions
+// (queueing included). A request that exceeds the cap fails with an
+// error classified as FailureTimeout; the rebuild itself keeps running
+// and, on success, primes the memo store for the next attempt. 0 (the
+// default) waits forever.
 func WithRebuildTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.rebuildTimeout = d }
 }
@@ -197,16 +197,71 @@ func (e *Engine) Snapshot(req core.SnapshotRequest) (*core.Network, error) {
 //
 // A hit on a completed entry allocates only the returned header.
 func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) (*core.Network, error) {
-	// Anchor re-keying: the requested date collapses onto the date of
-	// the last event at or before it — every date between two events
-	// shares one memo entry. The header returned below carries the
-	// literal requested date.
-	want := req.Date
+	ent, done := e.lookup(req)
+	if !done {
+		ctx, cancel := e.bound(ctx)
+		err := wait(ctx, ent)
+		cancel()
+		if err != nil {
+			return nil, err
+		}
+	}
+	if ent.err != nil {
+		return nil, ent.err
+	}
+	n := *ent.net
+	n.Date = req.Date
+	return &n, nil
+}
+
+// SnapshotsContext resolves a batch of requests in order, in two
+// passes. The first looks every request up on the caller: a hit is
+// ready at once, and a miss starts its rebuild on a fill goroutine
+// (bounded by the worker semaphore like any other), so every
+// independent rebuild of the batch is queued before the caller waits
+// on any of them; duplicate keys coalesce onto one rebuild. The second
+// waits for the pending entries under one deadline for the whole
+// batch: ctx, cut to the engine's rebuild timeout. The first error in
+// request order is returned, and a snapshot that is ready is never
+// turned into a timeout. The returned headers share one allocation.
+func (e *Engine) SnapshotsContext(ctx context.Context, reqs []core.SnapshotRequest) ([]*core.Network, error) {
+	ents, pending := e.lookupAll(reqs)
+	if pending {
+		var cancel context.CancelFunc
+		ctx, cancel = e.bound(ctx)
+		defer cancel()
+	}
+	nets := make([]*core.Network, len(reqs))
+	hdrs := make([]core.Network, len(reqs))
+	for i, ent := range ents {
+		if err := wait(ctx, ent); err != nil {
+			return nil, err
+		}
+		if ent.err != nil {
+			return nil, ent.err
+		}
+		hdrs[i] = *ent.net
+		hdrs[i].Date = reqs[i].Date
+		nets[i] = &hdrs[i]
+	}
+	return nets, nil
+}
+
+// lookup finds req's memo entry or starts its rebuild, and reports
+// whether the entry was already complete (a hit). It is the first half
+// of every read; wait is the second.
+//
+// Anchor re-keying: the requested date collapses onto the date of the
+// last event at or before it — every date between two events shares
+// one memo entry. Callers hand out headers carrying the literal
+// requested date.
+func (e *Engine) lookup(req core.SnapshotRequest) (ent *entry, done bool) {
 	req, rekeyed := e.rekey(req)
 	var buf [keyBuf]byte
 	key := appendKey(buf[:0], req)
 
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if g := e.db.Generation(); g != e.gen {
 		// The database changed under us: every memoized snapshot is
 		// stale. Entries still in flight finish against the old data
@@ -216,61 +271,71 @@ func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) 
 		e.stats.Invalidations++
 	}
 	ent, ok := e.entries[string(key)]
-	done := false
-	if ok {
-		select {
-		case <-ent.done:
-			done = true
-			e.stats.Hits++
-			if rekeyed {
-				e.stats.DeltaHits++
-			}
-		default:
-			e.stats.Coalesced++
-		}
-	} else {
+	switch {
+	case !ok:
 		ent = &entry{done: make(chan struct{})}
 		k := string(key)
 		e.entries[k] = ent
 		e.stats.Misses++
 		go e.fill(k, ent, req)
-	}
-	e.mu.Unlock()
-
-	if !done {
-		if err := e.wait(ctx, ent); err != nil {
-			return nil, err
+	case ent.ready():
+		done = true
+		e.stats.Hits++
+		if rekeyed {
+			e.stats.DeltaHits++
 		}
+	default:
+		e.stats.Coalesced++
 	}
-	if ent.err != nil {
-		return nil, ent.err
-	}
-	n := *ent.net
-	n.Date = want
-	return &n, nil
+	return ent, done
 }
 
-// wait blocks until ent is final, bounded by ctx and the engine's
-// rebuild timeout. The timeout's timer exists only while a wait is
-// actually pending: completed hits never get here.
-func (e *Engine) wait(ctx context.Context, ent *entry) error {
+// lookupAll runs lookup over a batch, in order, and reports whether
+// any entry is still pending.
+func (e *Engine) lookupAll(reqs []core.SnapshotRequest) (ents []*entry, pending bool) {
+	ents = make([]*entry, len(reqs))
+	for i, r := range reqs {
+		var done bool
+		ents[i], done = e.lookup(r)
+		pending = pending || !done
+	}
+	return ents, pending
+}
+
+// ready reports whether ent is final, without blocking.
+func (ent *entry) ready() bool {
+	select {
+	case <-ent.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// bound cuts ctx to the engine's rebuild timeout. Callers take it only
+// once something is pending, so a completed hit never creates a timer.
+func (e *Engine) bound(ctx context.Context) (context.Context, context.CancelFunc) {
 	if e.rebuildTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.rebuildTimeout)
-		defer cancel()
+		return context.WithTimeout(ctx, e.rebuildTimeout)
+	}
+	return ctx, func() {}
+}
+
+// wait blocks until ent is final or ctx ends. A result that arrived
+// together with the deadline still counts: never turn a ready snapshot
+// into a timeout.
+func wait(ctx context.Context, ent *entry) error {
+	if ent.ready() {
+		return nil
 	}
 	select {
 	case <-ent.done:
 		return nil
 	case <-ctx.Done():
-		// A result that arrived together with the deadline still
-		// counts: never turn a ready snapshot into a timeout.
-		select {
-		case <-ent.done:
+		if ent.ready() {
 			return nil
-		default:
-			return fmt.Errorf("engine: waiting for snapshot rebuild: %w", ctx.Err())
 		}
+		return fmt.Errorf("engine: waiting for snapshot rebuild: %w", ctx.Err())
 	}
 }
 
@@ -295,38 +360,34 @@ func (e *Engine) fill(key string, ent *entry, req core.SnapshotRequest) {
 	close(ent.done)
 }
 
-// Snapshots resolves a batch of requests in order, fanning independent
-// reconstructions out across the worker pool. Duplicate keys within the
-// batch coalesce onto one reconstruction.
+// Snapshots is SnapshotsContext without a caller deadline.
 func (e *Engine) Snapshots(reqs []core.SnapshotRequest) ([]*core.Network, error) {
-	return core.SnapshotsParallel(e, reqs)
+	return e.SnapshotsContext(context.Background(), reqs)
 }
 
 // Prewarm primes the memo store with the given requests and returns
-// how many completed successfully before ctx expired. Reconstructions
+// how many completed successfully before ctx expired. It looks the
+// whole batch up at once, as SnapshotsContext does, so the rebuilds
 // run through the same bounded worker pool queries use (requests
-// already memoized are free), so a warm-booted service can prewarm its
-// default query surface in the background and the first real request
+// already memoized are free), and a warm-booted service can prewarm its
+// default query surface in the background: the first real request
 // after a restart pays a memo hit instead of a rebuild. Failures are
 // not retried: a request that fails here simply stays cold, and the
 // next real query for it retries from scratch.
 func (e *Engine) Prewarm(ctx context.Context, reqs []core.SnapshotRequest) int {
-	var ok atomic.Int64
-	var wg sync.WaitGroup
-	for _, req := range reqs {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := e.SnapshotContext(ctx, req); err == nil {
-				ok.Add(1)
-			}
-		}()
+	if ctx.Err() != nil {
+		return 0
 	}
-	wg.Wait()
-	return int(ok.Load())
+	ents, _ := e.lookupAll(reqs)
+	ctx, cancel := e.bound(ctx)
+	defer cancel()
+	n := 0
+	for _, ent := range ents {
+		if wait(ctx, ent) == nil && ent.err == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Inherit adopts prev's memoized snapshots that are still exact against
@@ -355,15 +416,11 @@ func (e *Engine) Inherit(prev *Engine) int {
 	var done map[string]*entry
 	if prev.db.Generation() == prev.gen {
 		for k, ent := range prev.entries {
-			select {
-			case <-ent.done:
-				if ent.err == nil {
-					if done == nil {
-						done = make(map[string]*entry, len(prev.entries))
-					}
-					done[k] = ent
+			if ent.ready() && ent.err == nil {
+				if done == nil {
+					done = make(map[string]*entry, len(prev.entries))
 				}
-			default:
+				done[k] = ent
 			}
 		}
 	}

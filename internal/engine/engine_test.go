@@ -314,6 +314,37 @@ func TestSnapshotHitAllocs(t *testing.T) {
 	}
 }
 
+// TestSnapshotsHitAllocs gates the warm batch path: the 12 paper-date
+// CME-NY4 requests of Table 1, all memo hits, allocate the entry list,
+// the result slice and one block of headers between them — not one
+// header, goroutine or timer per request. Without the race detector, as
+// TestSnapshotHitAllocs (make bench-gate).
+func TestSnapshotsHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := New(corpus(t), WithRebuildTimeout(time.Minute))
+	reqs := core.ConnectedNetworksRequests(e.DB(), snapshot, pathNY4, core.DefaultOptions())
+	if len(reqs) != 12 {
+		t.Fatalf("%d paper-date CME-NY4 requests, want 12", len(reqs))
+	}
+	ctx := context.Background()
+	if _, err := e.SnapshotsContext(ctx, reqs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := e.SnapshotsContext(ctx, reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("warm 12-request batch allocates %.1f times, want <= 3", allocs)
+	}
+	if st := e.Stats(); st.Rebuilds != 12 {
+		t.Errorf("rebuilds = %d, want 12", st.Rebuilds)
+	}
+}
+
 // TestConcurrentExactlyOnce: 100 goroutines requesting a mix of
 // identical and distinct snapshots; every key must be reconstructed
 // exactly once and all results must agree. Run under -race.
@@ -570,16 +601,7 @@ func TestSnapshotContextTimeout(t *testing.T) {
 	// The background rebuild finishes and memoizes; once done, even the
 	// 1ns budget serves it (ready results are never turned into
 	// timeouts).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := e.Stats(); st.Rebuilds == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned rebuild never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitMemo(t, e)
 	n, err := e.SnapshotContext(context.Background(), r)
 	if err != nil {
 		t.Fatalf("post-rebuild request: %v", err)
@@ -592,18 +614,147 @@ func TestSnapshotContextTimeout(t *testing.T) {
 	}
 }
 
+// holdWorkers fills e's rebuild semaphore, so no rebuild can start
+// until release runs: a miss made in between stays pending for as long
+// as the test needs.
+func holdWorkers(e *Engine) (release func()) {
+	for range cap(e.sem) {
+		e.sem <- struct{}{}
+	}
+	return func() {
+		for range cap(e.sem) {
+			<-e.sem
+		}
+	}
+}
+
+// awaitMemo waits until every entry in e's memo store is complete.
+// (Stats counts a rebuild just before its entry completes, so polling
+// Rebuilds would leave a window in which a lookup coalesces.)
+func awaitMemo(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	ents := make([]*entry, 0, len(e.entries))
+	for _, ent := range e.entries {
+		ents = append(ents, ent)
+	}
+	e.mu.Unlock()
+	for _, ent := range ents {
+		select {
+		case <-ent.done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("abandoned rebuild never completed")
+		}
+	}
+}
+
 // TestSnapshotContextCanceled: caller cancellation classifies as
-// FailureCanceled, not as an engine failure.
+// FailureCanceled, not as an engine failure, and the abandoned wait
+// still memoizes. The rebuild is held until the wait has failed, so the
+// outcome does not depend on which of the two finishes first.
 func TestSnapshotContextCanceled(t *testing.T) {
 	e := New(corpus(t))
+	release := holdWorkers(e)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.SnapshotContext(ctx, req("Webline Holdings", snapshot, core.DefaultOptions()))
+	r := req("Webline Holdings", snapshot, core.DefaultOptions())
+	_, err := e.SnapshotContext(ctx, r)
+	release()
 	if err == nil {
 		t.Fatal("want error from canceled context")
 	}
 	if c := Classify(err); c != FailureCanceled {
 		t.Fatalf("Classify(%v) = %v, want FailureCanceled", err, c)
+	}
+
+	awaitMemo(t, e)
+	if _, err := e.SnapshotContext(ctx, r); err != nil {
+		t.Fatalf("memoized snapshot under a canceled context: %v", err)
+	}
+	if st := e.Stats(); st.Misses != 1 || st.Hits != 1 || st.Rebuilds != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 rebuild", st)
+	}
+}
+
+// TestSnapshotsContextCanceled is the batch twin: a canceled batch that
+// must wait for a held miss fails as FailureCanceled, while a batch of
+// hits under the same canceled context succeeds, because a ready
+// snapshot is never turned into an error.
+func TestSnapshotsContextCanceled(t *testing.T) {
+	e := New(corpus(t))
+	def := core.DefaultOptions()
+	hit := req("Webline Holdings", snapshot, def)
+	if _, err := e.Snapshot(hit); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	release := holdWorkers(e)
+	_, err := e.SnapshotsContext(ctx, []core.SnapshotRequest{hit, req("New Line Networks", snapshot, def)})
+	release()
+	if c := Classify(err); c != FailureCanceled {
+		t.Fatalf("batch with a held miss: Classify(%v) = %v, want FailureCanceled", err, c)
+	}
+
+	awaitMemo(t, e)
+	batch := []core.SnapshotRequest{req("New Line Networks", snapshot, def), hit, hit}
+	nets, err := e.SnapshotsContext(ctx, batch)
+	if err != nil {
+		t.Fatalf("all-hit batch under a canceled context: %v", err)
+	}
+	for i, n := range nets {
+		if n.Licensee != batch[i].Licensees[0] || n.Date != snapshot {
+			t.Errorf("nets[%d] = %s at %s, want %s at %s", i, n.Licensee, n.Date, batch[i].Licensees[0], snapshot)
+		}
+	}
+}
+
+// TestSnapshotsStartsEveryMiss: a batch registers every miss, and so
+// queues every rebuild, before it waits on any of them. With the
+// rebuild semaphore held, all N distinct misses (every licensee at the
+// paper date) must show in Stats while no rebuild has run; a pool that
+// waits on each lookup in turn registers only as many as it has
+// workers.
+func TestSnapshotsStartsEveryMiss(t *testing.T) {
+	e := New(corpus(t))
+	var reqs []core.SnapshotRequest
+	for _, name := range e.DB().Licensees() {
+		reqs = append(reqs, req(name, snapshot, core.DefaultOptions()))
+	}
+	release := holdWorkers(e)
+	type result struct {
+		nets []*core.Network
+		err  error
+	}
+	res := make(chan result, 1)
+	go func() {
+		nets, err := e.Snapshots(reqs)
+		res <- result{nets, err}
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().Misses < int64(len(reqs)) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st := e.Stats()
+	release()
+	if st.Misses != int64(len(reqs)) || st.Rebuilds != 0 {
+		t.Errorf("with the semaphore held: misses = %d, rebuilds = %d; want %d misses before any rebuild",
+			st.Misses, st.Rebuilds, len(reqs))
+	}
+
+	r := <-res
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, n := range r.nets {
+		if n.Licensee != reqs[i].Licensees[0] {
+			t.Errorf("nets[%d] = %s, want %s", i, n.Licensee, reqs[i].Licensees[0])
+		}
+	}
+	if st := e.Stats(); st.Rebuilds != int64(len(reqs)) {
+		t.Errorf("rebuilds = %d, want %d", st.Rebuilds, len(reqs))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"syscall"
 	"testing"
 	"time"
 
@@ -107,9 +108,12 @@ func BenchmarkMiddlewareStack(b *testing.B) {
 // filings moved out of fiber reach, synth.DistantCopies), so the
 // sizes differ only in what cannot reach the corridor. Each sub-
 // benchmark warms a fresh server's memo with one request first, then
-// reports the engine lookups a request makes (lookups/op) and the memo
-// entries its key set holds (memo-entries). E18's in-process table
-// comes from
+// reports the process CPU a request costs (cpu-ns/op: getrusage user
+// plus system time around the timed loop, so it counts the goroutines
+// a request fans out to and the garbage collector, which wall-clock
+// ns/op hides on a machine with few cores), the engine lookups a
+// request makes (lookups/op) and the memo entries its key set holds
+// (memo-entries). E18's in-process tables come from
 //
 //	go test -run '^$' -bench BenchmarkWarmQuery -benchmem -cpu 2 ./internal/serve/
 func BenchmarkWarmQuery(b *testing.B) {
@@ -142,6 +146,7 @@ func BenchmarkWarmQuery(b *testing.B) {
 				before := lookups()
 				req := httptest.NewRequest("GET", q.url, nil)
 				b.ReportAllocs()
+				cpu := processCPU()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					rec := httptest.NewRecorder()
@@ -151,9 +156,20 @@ func BenchmarkWarmQuery(b *testing.B) {
 					}
 				}
 				b.StopTimer()
+				b.ReportMetric(float64(processCPU()-cpu)/float64(b.N), "cpu-ns/op")
 				b.ReportMetric(float64(lookups()-before)/float64(b.N), "lookups/op")
 				b.ReportMetric(float64(s.Stats().Engine.Entries), "memo-entries")
 			})
 		}
 	}
+}
+
+// processCPU is the user plus system CPU time the process has run so
+// far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	// getrusage fails only for an unknown "who" or a bad buffer address,
+	// and RUSAGE_SELF with a local buffer is neither.
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -59,7 +60,7 @@ func (p ctxProvider) Snapshot(req core.SnapshotRequest) (*core.Network, error) {
 }
 
 func (p ctxProvider) Snapshots(reqs []core.SnapshotRequest) ([]*core.Network, error) {
-	return core.SnapshotsParallel(p, reqs)
+	return p.eng.SnapshotsContext(p.ctx, reqs)
 }
 
 // EvolutionSweep forwards core.EvolutionSweeper to the engine's
@@ -76,16 +77,31 @@ type errorBody struct {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorBody{Error: msg})
+	body, _ := json.Marshal(errorBody{Error: msg}) // a string always encodes
+	writeBody(w, status, body)
 }
 
+// writeJSON answers 200 with v as one compact JSON line. The body is
+// encoded before anything is sent, so a value that fails to encode
+// answers 500 with the error envelope instead of an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// writeBody sends an encoded JSON body and its closing newline in one
+// write, with its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // runQuery wraps one engine-backed analysis over generation g (the
@@ -138,18 +154,21 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, g *generation,
 }
 
 // --- query parameter parsing ---
+//
+// Each handler parses its query string once (r.URL.Query builds a new
+// map on every call) and hands the values to these helpers.
 
 // paperSnapshot is the default as-of date, the paper's 1 April 2020.
 func paperSnapshot() uls.Date { return uls.NewDate(2020, time.April, 1) }
 
-func parseDate(r *http.Request) (uls.Date, error) {
-	q := r.URL.Query().Get("date")
-	if q == "" {
+func parseDate(q url.Values) (uls.Date, error) {
+	v := q.Get("date")
+	if v == "" {
 		return paperSnapshot(), nil
 	}
-	d, err := uls.ParseDate(q)
+	d, err := uls.ParseDate(v)
 	if err != nil || d.IsZero() {
-		return uls.Date{}, fmt.Errorf("bad date %q (want YYYY-MM-DD or MM/DD/YYYY)", q)
+		return uls.Date{}, fmt.Errorf("bad date %q (want YYYY-MM-DD or MM/DD/YYYY)", v)
 	}
 	return d, nil
 }
@@ -157,22 +176,22 @@ func parseDate(r *http.Request) (uls.Date, error) {
 // parsePath parses ?path=FROM-TO (default CME-NY4) into two distinct
 // data centers. A path from a data center to itself is a 400: every
 // network would "connect" it at zero latency.
-func parsePath(r *http.Request) (sites.Path, error) {
-	q := r.URL.Query().Get("path")
-	if q == "" {
+func parsePath(q url.Values) (sites.Path, error) {
+	v := q.Get("path")
+	if v == "" {
 		return sites.Path{From: sites.CME, To: sites.NY4}, nil
 	}
-	from, to, ok := strings.Cut(q, "-")
+	from, to, ok := strings.Cut(v, "-")
 	if !ok {
-		return sites.Path{}, fmt.Errorf("bad path %q (want FROM-TO, e.g. CME-NY4)", q)
+		return sites.Path{}, fmt.Errorf("bad path %q (want FROM-TO, e.g. CME-NY4)", v)
 	}
 	a, okA := sites.ByCode(strings.ToUpper(from))
 	b, okB := sites.ByCode(strings.ToUpper(to))
 	if !okA || !okB {
-		return sites.Path{}, fmt.Errorf("unknown data center in path %q (codes: CME, NY4, NYSE, NASDAQ)", q)
+		return sites.Path{}, fmt.Errorf("unknown data center in path %q (codes: CME, NY4, NYSE, NASDAQ)", v)
 	}
 	if a.Code == b.Code {
-		return sites.Path{}, fmt.Errorf("bad path %q: both ends are %s", q, a.Code)
+		return sites.Path{}, fmt.Errorf("bad path %q: both ends are %s", v, a.Code)
 	}
 	return sites.Path{From: a, To: b}, nil
 }
@@ -188,11 +207,11 @@ const (
 )
 
 // parseYears parses the from/to year range (defaults 2013 and 2020).
-func parseYears(r *http.Request) (from, to int, err error) {
-	if from, err = parseInt(r, "from", 2013); err != nil {
+func parseYears(q url.Values) (from, to int, err error) {
+	if from, err = parseInt(q, "from", 2013); err != nil {
 		return 0, 0, err
 	}
-	if to, err = parseInt(r, "to", 2020); err != nil {
+	if to, err = parseInt(q, "to", 2020); err != nil {
 		return 0, 0, err
 	}
 	for _, y := range []int{from, to} {
@@ -206,14 +225,14 @@ func parseYears(r *http.Request) (from, to int, err error) {
 	return from, to, nil
 }
 
-func parseInt(r *http.Request, name string, def int) (int, error) {
-	q := r.URL.Query().Get(name)
-	if q == "" {
+func parseInt(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
+	if v == "" {
 		return def, nil
 	}
-	n, err := strconv.Atoi(q)
+	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s %q (want an integer)", name, q)
+		return 0, fmt.Errorf("bad %s %q (want an integer)", name, v)
 	}
 	return n, nil
 }
@@ -244,12 +263,13 @@ func toRow(s core.NetworkSummary) networkRow {
 // handleSnapshot serves /v1/snapshot: the networks with an end-to-end
 // route on the path at the date, in latency order (Table 1).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	date, err := parseDate(r)
+	q := r.URL.Query()
+	date, err := parseDate(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	path, err := parsePath(r)
+	path, err := parsePath(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -281,12 +301,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleRank serves /v1/rank: the fastest networks per corridor path
 // (Table 2), optionally truncated with ?top=N.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	date, err := parseDate(r)
+	q := r.URL.Query()
+	date, err := parseDate(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	top, err := parseInt(r, "top", 0)
+	top, err := parseInt(q, "top", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -332,17 +353,18 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 // trajectory (Figs 1–2) over ?from/?to years of paper sample dates,
 // each year within [minQueryYear, maxQueryYear].
 func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
-	licensee := r.URL.Query().Get("licensee")
+	q := r.URL.Query()
+	licensee := q.Get("licensee")
 	if licensee == "" {
 		writeError(w, http.StatusBadRequest, "missing required parameter: licensee")
 		return
 	}
-	path, err := parsePath(r)
+	path, err := parsePath(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	from, to, err := parseYears(r)
+	from, to, err := parseYears(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -394,12 +416,13 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 // the path at the date (§5), plus the complementary licensee pairs
 // whose union closes an end-to-end route (§2.4).
 func (s *Server) handleAPA(w http.ResponseWriter, r *http.Request) {
-	date, err := parseDate(r)
+	q := r.URL.Query()
+	date, err := parseDate(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	path, err := parsePath(r)
+	path, err := parsePath(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -279,6 +284,71 @@ func TestUnknownLicenseeNoMemo(t *testing.T) {
 	s.SetCorpus(corpus(t), "same corpus again")
 	if got := s.Stats().Engine.Inherited; got != int64(warm) {
 		t.Fatalf("publish carried over %d entries, want %d", got, warm)
+	}
+}
+
+// TestCompactBodies: every /v1 answer and error is one compact JSON
+// line plus a newline, sent in full with a Content-Length equal to its
+// size. The service used to send these bodies indented, which is the
+// same encoding run through json.Indent, so each must decode to the
+// same value as its indented form.
+func TestCompactBodies(t *testing.T) {
+	h := testServer(t, Config{}).Handler()
+	for _, url := range []string{
+		"/v1/snapshot?path=CME-NY4&date=2020-04-01",
+		"/v1/snapshot?path=NY4-NYSE&date=2016-01-01",
+		"/v1/rank?date=2020-04-01",
+		"/v1/rank?top=2",
+		"/v1/evolution?licensee=New+Line+Networks&path=CME-NY4",
+		"/v1/evolution?licensee=Webline+Holdings&path=CME-NASDAQ&from=2015&to=2017",
+		"/v1/apa?path=CME-NY4&date=2020-04-01",
+		"/v1/apa?path=CME-NYSE&date=2018-06-30",
+		"/v1/snapshot?date=not-a-date",
+		"/v1/evolution?licensee=No+Such+Networks",
+		"/readyz",
+		"/statsz",
+	} {
+		rec := get(t, h, url)
+		body := rec.Body.Bytes()
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", url, cl, len(body))
+		}
+		line, rest, ok := bytes.Cut(body, []byte("\n"))
+		if !ok || len(rest) != 0 {
+			t.Errorf("%s: body is not one line plus a newline: %q", url, body)
+			continue
+		}
+		var compact, indented bytes.Buffer
+		if err := json.Compact(&compact, line); err != nil || !bytes.Equal(compact.Bytes(), line) {
+			t.Errorf("%s: body is not compact JSON (%v): %s", url, err, line)
+			continue
+		}
+		if err := json.Indent(&indented, line, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		var got, want any
+		if err := json.Unmarshal(line, &got); err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		if err := json.Unmarshal(indented.Bytes(), &want); err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: compact body decodes to %v, its indented form to %v", url, got, want)
+		}
+	}
+}
+
+// TestWriteJSONEncodeError: a value that cannot be encoded answers 500
+// with the error envelope, never an empty 200.
+func TestWriteJSONEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"latency_us": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	if got := decode[errorBody](t, rec); !strings.Contains(got.Error, "encoding response") {
+		t.Errorf("error = %q, want it to name the failed encode", got.Error)
 	}
 }
 

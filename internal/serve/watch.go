@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,14 +159,14 @@ type watchDiff struct {
 }
 
 // parseFloat parses an optional float query parameter.
-func parseFloat(r *http.Request, name string, def float64) (float64, error) {
-	q := r.URL.Query().Get(name)
-	if q == "" {
+func parseFloat(q url.Values, name string, def float64) (float64, error) {
+	v := q.Get(name)
+	if v == "" {
 		return def, nil
 	}
-	f, err := strconv.ParseFloat(q, 64)
+	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s %q (want a number)", name, q)
+		return 0, fmt.Errorf("bad %s %q (want a number)", name, v)
 	}
 	return f, nil
 }
@@ -177,27 +178,28 @@ func parseFloat(r *http.Request, name string, def float64) (float64, error) {
 // client reads), seed (deterministic pacing jitter, so many concurrent
 // paced replays don't tick in lockstep).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	licensee := r.URL.Query().Get("licensee")
+	q := r.URL.Query()
+	licensee := q.Get("licensee")
 	if licensee == "" {
 		writeError(w, http.StatusBadRequest, "missing required parameter: licensee")
 		return
 	}
-	path, err := parsePath(r)
+	path, err := parsePath(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	from, to, err := parseYears(r)
+	from, to, err := parseYears(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	speed, err := parseFloat(r, "speed", 0)
+	speed, err := parseFloat(q, "speed", 0)
 	if err != nil || speed < 0 {
 		writeError(w, http.StatusBadRequest, "bad speed (want a number of virtual days per second >= 0)")
 		return
 	}
-	seed, err := parseInt(r, "seed", 0)
+	seed, err := parseInt(q, "seed", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
