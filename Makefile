@@ -192,7 +192,10 @@ bench-gate:
 # A /v1/watch resume, whatever its Last-Event-ID and year window,
 # answers 200, 400 or 409, and a 200 streams consecutive frames to eof.
 # A /v1/fleet/join body answers 200, 400 or 409, and only a named member
-# with an absolute URL is admitted, on the front's lease terms.
+# with an absolute URL is admitted, on the front's lease terms. A peer's
+# segment answers, whatever their status, headers and body, make a scrub
+# repair return an error or the segment's exact bytes, never read more
+# than one byte past the segment's size and never ask the member itself.
 # Cheap enough for ci.
 fuzz-short:
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulkLenient' -fuzztime 10s
@@ -202,6 +205,7 @@ fuzz-short:
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzQueryParams$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzWatchLastEventID$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz 'FuzzFleetJoin$$' -fuzztime 5s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz 'FuzzSegmentResponse$$' -fuzztime 5s
 
 # Full benchmark suite (E1–E17, ablations, engine, serving middleware,
 # full-pull vs delta-pull bytes-on-wire), machine-readable.

@@ -66,22 +66,22 @@
 // poll continues it with ranged GETs, and segments whose SHA-256 digest
 // the replica already holds locally are hard-linked instead of fetched
 // (an unchanged segment between generations N and N+1 ships zero
-// bytes). -pull-max-bps caps the pull loop's segment downloads with a
-// token bucket so replication cannot starve live serving (scrub-repair
-// reads are not capped) — the staging area makes the stretched
-// transfer safe. Transfer counters (resumed, reused_segments,
-// bytes_saved) appear under "pull" on /statsz, and the shipping side's
-// serve counters under "ship".
+// bytes). -pull-max-bps caps every segment download, the pull loop's
+// and scrub repair's, with one token bucket so neither can starve live
+// serving — resumption makes the stretched transfer safe. Transfer
+// counters (resumed, reused_segments, bytes_saved) appear under "pull"
+// on /statsz, and the shipping side's serve counters under "ship".
 //
 // With -scrub-interval > 0 (requires -store-dir) a background
 // anti-entropy scrubber re-verifies every committed generation on the
 // deep fsck ladder, pausing -scrub-pause between segments so scrubbing
 // stays off the serving path. A corrupt segment is re-fetched from a
 // peer holding a digest-matching copy (the front's member table when
-// -pull-front or -announce is set, else the -pull-from primary),
-// verified, and swapped in place without a restart; the corrupt
-// original is preserved under quarantine/. Counters appear under
-// "scrub" on /statsz.
+// -pull-front or -announce is set, else the -pull-from primary) through
+// the same segment client a replica pulls with, verified, and swapped
+// in place without a restart; the corrupt original is preserved under
+// quarantine/. Counters appear under "scrub" on /statsz, and the
+// repair downloads under "pull".
 //
 // With -announce the instance self-registers with an hftfront front
 // tier: it joins at /v1/fleet/join, renews its TTL lease on the
@@ -131,7 +131,7 @@ func main() {
 	pullFront := flag.String("pull-front", "", "resolve the replication source dynamically from this front tier's /v1/fleet/source (requires -store-dir, excludes -bulk; overrides -pull-from once a source is elected)")
 	pullInterval := flag.Duration("pull-interval", 2*time.Second, "replication poll cadence (jittered)")
 	pullKeep := flag.Int("pull-keep", 3, "local generations kept after each replicated install")
-	pullMaxBps := flag.Int64("pull-max-bps", 0, "replication download cap in bytes/sec (0 = unlimited; interrupted transfers resume from the staging area)")
+	pullMaxBps := flag.Int64("pull-max-bps", 0, "cap in bytes/sec on every segment download, replication and scrub repair alike (0 = unlimited; interrupted transfers resume)")
 	announce := flag.String("announce", "", "front tier base URL to self-register with (lease-based membership)")
 	announceName := flag.String("announce-name", "", "member name to announce (default: the announced URL's host:port)")
 	announceURL := flag.String("announce-url", "", "base URL the front should route to (default: http://127.0.0.1<addr> for a :port bind)")
@@ -151,8 +151,8 @@ func main() {
 	}
 
 	// The instance's own base URL: what it announces to the front, what
-	// the puller uses to recognise "the promoted source is me", and what
-	// the repair fetcher excludes from its peer candidates.
+	// the puller uses to recognise "the promoted source is me" and
+	// excludes from its repair peers.
 	self := strings.TrimSuffix(*announceURL, "/")
 	if self == "" {
 		bind := *addr
@@ -228,6 +228,19 @@ func main() {
 		}
 		return srv.LoadCorpusFile(*bulk, reloadOpts)
 	}
+	// A replica's pull loop and scrub repair download through one puller,
+	// on one -pull-max-bps budget.
+	pullCfg := fleet.PullerConfig{
+		Primary:        *pullFrom,
+		Front:          strings.TrimSuffix(*pullFront, "/"),
+		Self:           self,
+		Store:          st,
+		Server:         srv,
+		Interval:       *pullInterval,
+		Keep:           *pullKeep,
+		MaxBytesPerSec: *pullMaxBps,
+	}
+	var puller *fleet.Puller
 	switch {
 	case replica:
 		// Replica: the corpus arrives from the primary. A warm start
@@ -235,16 +248,7 @@ func main() {
 		// stays not-ready until the first verified install lands.
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		puller := fleet.NewPuller(fleet.PullerConfig{
-			Primary:        *pullFrom,
-			Front:          strings.TrimSuffix(*pullFront, "/"),
-			Self:           self,
-			Store:          st,
-			Server:         srv,
-			Interval:       *pullInterval,
-			Keep:           *pullKeep,
-			MaxBytesPerSec: *pullMaxBps,
-		})
+		puller = fleet.NewPuller(pullCfg)
 		go puller.Run(ctx)
 		switch {
 		case *pullFront != "" && *pullFrom != "":
@@ -292,7 +296,10 @@ func main() {
 			peers = fleet.StaticPeers(fleet.Replica{Name: "primary", URL: *pullFrom})
 		}
 		if peers != nil {
-			cfg.Fetch = fleet.NewPeerFetcher(fleet.PeerFetcherConfig{Peers: peers, Self: self})
+			if puller == nil {
+				puller = fleet.NewPuller(pullCfg) // repairs only; its loop never runs
+			}
+			cfg.Fetch = puller.RepairFrom(peers)
 			log.Printf("hftserve: scrubbing every %v (pause %v), repairing from %s",
 				*scrubInterval, *scrubPause, peerSource)
 		} else {

@@ -58,14 +58,13 @@ type ChaosReplica struct {
 	// ScrubInterval > 0 runs a background anti-entropy scrubber over
 	// the replica's store, repairing corrupt segments from fleet peers
 	// (resolved via PullFront's member table when set, else the static
-	// Primary). ScrubPause throttles it between segments;
+	// Primary) through the puller, so Transport's faults reach repair
+	// reads too. ScrubPause throttles it between segments;
 	// ScrubQuarantineAfter is the consecutive-miss ladder to
-	// whole-generation quarantine; RepairTransport, when set, underlies
-	// the repair fetches (partitionable like everything else).
+	// whole-generation quarantine.
 	ScrubInterval        time.Duration
 	ScrubPause           time.Duration
 	ScrubQuarantineAfter int
-	RepairTransport      http.RoundTripper
 
 	// Front, when set, makes the replica self-register: each Start
 	// boots an announcer against this front-tier URL; Kill abandons it
@@ -198,27 +197,19 @@ func (r *ChaosReplica) Start() error {
 	var scrubber *store.Scrubber
 	var sdone chan struct{}
 	if r.ScrubInterval > 0 {
-		repairClient := &http.Client{Timeout: 10 * time.Second}
-		if r.RepairTransport != nil {
-			repairClient.Transport = r.RepairTransport
-		}
 		var peers PeerLister
 		switch {
 		case r.PullFront != "":
-			peers = FrontMembers(r.PullFront, repairClient)
+			peers = FrontMembers(r.PullFront, client)
 		case r.Front != "":
-			peers = FrontMembers(r.Front, repairClient)
+			peers = FrontMembers(r.Front, client)
 		default:
 			peers = StaticPeers(Replica{Name: "primary", URL: r.Primary})
 		}
 		scrubber = store.NewScrubber(st, store.ScrubConfig{
-			Interval: r.ScrubInterval,
-			Pause:    r.ScrubPause,
-			Fetch: NewPeerFetcher(PeerFetcherConfig{
-				Peers:  peers,
-				Self:   self,
-				Client: repairClient,
-			}),
+			Interval:        r.ScrubInterval,
+			Pause:           r.ScrubPause,
+			Fetch:           puller.RepairFrom(peers),
 			QuarantineAfter: r.ScrubQuarantineAfter,
 		})
 		srv.RegisterStats("scrub", func() any { return scrubber.Status() })

@@ -19,8 +19,8 @@ import (
 	"hftnetview/internal/store"
 )
 
-// maxShipBytes bounds a single manifest or segment download; a
-// malicious or corrupted primary must not drive an unbounded read.
+// maxShipBytes bounds a manifest download or a front's buffered answer;
+// a malicious or corrupted peer must not drive an unbounded read.
 const maxShipBytes = 256 << 20
 
 // pollJitter stretches each poll sleep by up to this fraction of the
@@ -64,12 +64,11 @@ type PullerConfig struct {
 	// (default 3; the previous generation is always retained as the
 	// fallback corpus).
 	Keep int
-	// MaxBytesPerSec caps the pull loop's segment downloads with a
-	// token bucket (0 = unlimited), so replication cannot starve live
-	// serving. It caps nothing else: scrub-repair reads through
-	// NewPeerFetcher are not metered. The staging area makes the
-	// stretched transfer safe: a pull interrupted mid-budget resumes
-	// where it stopped.
+	// MaxBytesPerSec caps every segment download, the pull loop's and
+	// RepairFrom's, with one token bucket (0 = unlimited), so neither
+	// can starve live serving. Resumption makes the stretched transfer
+	// safe: a pull or repair interrupted mid-budget resumes where it
+	// stopped.
 	MaxBytesPerSec int64
 }
 
@@ -111,8 +110,8 @@ type PullStatus struct {
 	// it shows up in the error log's volume.
 	Backoffs int64 `json:"backoffs"`
 	// SegmentsFetched and BytesFetched count wire-level segment
-	// transfer: what actually crossed the network, the denominator for
-	// every saving below.
+	// transfer, scrub repairs included: what actually crossed the
+	// network, the denominator for every saving below.
 	SegmentsFetched int64 `json:"segments_fetched"`
 	BytesFetched    int64 `json:"bytes_fetched"`
 	// Resumed counts segments whose bytes were (partly or wholly)
@@ -126,7 +125,7 @@ type PullStatus struct {
 	ReusedSegments int64 `json:"reused_segments"`
 	// BytesSaved totals the bytes resume and reuse kept off the wire.
 	BytesSaved int64 `json:"bytes_saved"`
-	// ThrottleWaits counts reads the MaxBytesPerSec token bucket made
+	// ThrottleWaits counts segment reads (pull or repair) the bucket made
 	// sleep — nonzero means the budget is actually shaping traffic.
 	ThrottleWaits int64 `json:"throttle_waits,omitempty"`
 	// Generation is the newest installed store generation id.
@@ -152,7 +151,8 @@ type PullStatus struct {
 }
 
 // Puller replicates a primary's generations into a local store and
-// serves them. Safe for one Run loop plus concurrent Status calls.
+// serves them, and fetches scrub repairs (RepairFrom). Safe for one Run
+// loop, one scrubber's repairs and concurrent Status calls.
 type Puller struct {
 	cfg    PullerConfig
 	bucket *byteBucket // nil = unthrottled
@@ -167,6 +167,11 @@ type Puller struct {
 	// not count them again.
 	creditedGen int64
 	credited    map[string]bool
+
+	// repairHeld is what a cut repair of the segment whose SHA-256 is
+	// repairSHA received; the next attempt resumes it.
+	repairSHA  string
+	repairHeld []byte
 }
 
 // NewPuller returns a puller; if cfg.Server is set, its pull status is
@@ -495,7 +500,6 @@ func (p *Puller) clearError() {
 // for a source that moved on mid-pull, anything else a transport
 // failure whose partial stays staged for resume.
 func (p *Puller) fetchStagedSegment(ctx context.Context, src string, gi *store.GenInfo, si store.SegmentInfo, stg *store.Staging) error {
-	url := fmt.Sprintf("%s%ssegment/%d/%s", src, shipPrefix, gi.ID, si.Name)
 	off := stg.PartialSize(si.Name)
 	if off > si.Bytes {
 		// Longer than the manifest promises: poisoned, start over.
@@ -516,62 +520,22 @@ func (p *Puller) fetchStagedSegment(ctx context.Context, src string, gi *store.G
 		return nil
 	}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	body, start, err := p.getSegment(ctx, src, gi.ID, gi.CorpusSHA256, si, off)
 	if err != nil {
+		if errors.Is(err, store.ErrVerify) {
+			stg.ResetPartial(si.Name)
+		}
 		return err
 	}
-	if off > 0 {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", off))
-		// The segment digest is the strong validator: a source holding
-		// different bytes under this name answers 200-whole instead of
-		// splicing a mismatched tail onto our partial.
-		req.Header.Set("If-Range", `"`+si.SHA256+`"`)
-	}
-	resp, err := p.cfg.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("fetching segment %s: %w", si.Name, err)
-	}
-	defer resp.Body.Close()
-
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if off > 0 {
-			// The source ignored the range (or If-Range says the
-			// content moved): restart this segment from byte zero.
-			if err := stg.ResetPartial(si.Name); err != nil {
-				return err
-			}
-			off = 0
+	defer body.Close()
+	if start != off {
+		// The source ignored the range (or If-Range says the content
+		// moved): restart this segment from byte zero.
+		if err := stg.ResetPartial(si.Name); err != nil {
+			return err
 		}
-	case http.StatusPartialContent:
-		start, perr := parseContentRangeStart(resp.Header.Get("Content-Range"))
-		if perr != nil || start != off {
-			stg.ResetPartial(si.Name)
-			return fmt.Errorf("%w: segment %s: unusable range response %q",
-				store.ErrVerify, si.Name, resp.Header.Get("Content-Range"))
-		}
-	case http.StatusNotFound:
-		if resp.Header.Get("X-Gen-Gone") != "" {
-			return fmt.Errorf("%w: source swept it mid-pull", store.ErrGenGone)
-		}
-		return fmt.Errorf("GET %s: status 404", url)
-	case http.StatusServiceUnavailable:
-		p.noteRetryAfter(resp)
-		return fmt.Errorf("GET %s: status 503", url)
-	default:
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+		off = 0
 	}
-
-	// The shipper names the branch and content ahead of the body: a
-	// mismatch means the source re-published or promoted mid-pull, so
-	// restart from a fresh manifest without downloading a byte.
-	if d := resp.Header.Get("X-Gen-Digest"); d != "" && d != gi.CorpusSHA256 {
-		return fmt.Errorf("%w: source re-published generation %d mid-pull", store.ErrGenGone, gi.ID)
-	}
-	if d := resp.Header.Get("X-Segment-SHA256"); d != "" && d != si.SHA256 {
-		return fmt.Errorf("%w: segment %s moved mid-pull", store.ErrGenGone, si.Name)
-	}
-
 	w, err := stg.SegmentWriter(si)
 	if err != nil {
 		return err
@@ -580,20 +544,8 @@ func (p *Puller) fetchStagedSegment(ctx context.Context, src string, gi *store.G
 		w.Close()
 		return fmt.Errorf("fleet: partial for %s moved underfoot (%d != %d)", si.Name, w.Offset(), off)
 	}
-	// Read at most one byte past what the manifest promises: an
-	// over-long body must fail the size ladder, never grow the partial
-	// unboundedly.
-	body := io.Reader(io.LimitReader(resp.Body, si.Bytes-off+1))
-	if p.bucket != nil {
-		body = &throttledReader{ctx: ctx, r: body, bucket: p.bucket, onWait: func() {
-			p.bump(func(st *PullStatus) { st.ThrottleWaits++ })
-		}}
-	}
-	n, cpErr := io.Copy(w, body)
+	_, cpErr := io.Copy(w, body)
 	w.Close()
-	if n > 0 {
-		p.bump(func(st *PullStatus) { st.BytesFetched += n })
-	}
 	if cpErr != nil {
 		// Torn mid-stream: the partial stays staged for the next pull.
 		return fmt.Errorf("fetching segment %s: %w", si.Name, cpErr)
@@ -609,29 +561,63 @@ func (p *Puller) fetchStagedSegment(ctx context.Context, src string, gi *store.G
 	return nil
 }
 
-// parseContentRangeStart extracts the first byte position a 206
-// response's Content-Range claims to start at.
-func parseContentRangeStart(v string) (int64, error) {
-	rest, ok := strings.CutPrefix(v, "bytes ")
-	if !ok {
-		return 0, fmt.Errorf("bad Content-Range %q", v)
+// getSegment is the one client for /v1/gen/segment: it asks base for
+// segment si of generation gen (corpus digest corpus) from byte off on,
+// with the segment digest as If-Range so a source holding other bytes
+// answers 200-whole, and checks the branch and content headers before a
+// body byte is read. The body starts at the returned offset (off for a
+// 206, 0 for a 200) and stops one byte past what the manifest promises,
+// so an over-long body fails the size check instead of growing a copy.
+// Errors wrap ErrGenGone for a source that swept or re-published the
+// generation, ErrVerify for an unusable range.
+func (p *Puller) getSegment(ctx context.Context, base string, gen int64, corpus string, si store.SegmentInfo, off int64) (io.ReadCloser, int64, error) {
+	url := fmt.Sprintf("%s%ssegment/%d/%s", base, shipPrefix, gen, si.Name)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	start, _, ok := strings.Cut(rest, "-")
-	if !ok {
-		return 0, fmt.Errorf("bad Content-Range %q", v)
+	if off > 0 {
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", off))
+		req.Header.Set("If-Range", `"`+si.SHA256+`"`)
 	}
-	return strconv.ParseInt(start, 10, 64)
+	resp, err := p.get(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	start, h := int64(0), resp.Header
+	if resp.StatusCode == http.StatusPartialContent {
+		if start, err = parseContentRangeStart(h.Get("Content-Range")); err != nil || start != off {
+			err = fmt.Errorf("%w: segment %s: unusable range response %q", store.ErrVerify, si.Name, h.Get("Content-Range"))
+		}
+	}
+	switch d, s := h.Get("X-Gen-Digest"), h.Get("X-Segment-SHA256"); {
+	case err != nil:
+	case d != "" && d != corpus:
+		err = fmt.Errorf("%w: %s is on another branch (corpus %.12s, want %.12s)", store.ErrGenGone, url, d, corpus)
+	case s != "" && s != si.SHA256:
+		err = fmt.Errorf("%w: %s holds other bytes (segment %.12s, want %.12s)", store.ErrGenGone, url, s, si.SHA256)
+	}
+	if err != nil {
+		resp.Body.Close()
+		return nil, 0, err
+	}
+	return &segmentBody{Closer: resp.Body, r: io.LimitReader(resp.Body, si.Bytes-start+1), p: p, ctx: ctx}, start, nil
 }
 
-// fetch GETs one shipping URL. A 404 carrying X-Gen-Gone is translated
-// back into the store's retryable ErrGenGone so the pull can classify
-// it.
+// parseContentRangeStart extracts the first byte position a 206
+// response's Content-Range claims to start at.
+func parseContentRangeStart(v string) (start int64, err error) {
+	_, err = fmt.Sscanf(v, "bytes %d-", &start)
+	return start, err
+}
+
+// fetch GETs one shipping URL's whole body.
 func (p *Puller) fetch(ctx context.Context, url string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := p.cfg.Client.Do(req)
+	resp, err := p.get(req)
 	if err != nil {
 		return nil, err
 	}
@@ -640,25 +626,27 @@ func (p *Puller) fetch(ctx context.Context, url string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", url, err)
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return body, nil
-	case resp.StatusCode == http.StatusNotFound && resp.Header.Get("X-Gen-Gone") != "":
-		return nil, fmt.Errorf("%w: primary swept it mid-pull", store.ErrGenGone)
-	default:
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			p.noteRetryAfter(resp)
-		}
-		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
+	return body, nil
 }
 
-// noteRetryAfter records a shedding shipper's Retry-After (whole
-// seconds) for nextDelay: it named its price.
-func (p *Puller) noteRetryAfter(resp *http.Response) {
-	if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs > 0 {
+// get sends one request to a shipper. A 404 carrying X-Gen-Gone becomes
+// the store's retryable ErrGenGone, so the pull can classify it; a
+// 503's Retry-After (whole seconds) is kept for nextDelay, since the
+// shipper named its price; any status but 200 and 206 is an error.
+func (p *Puller) get(req *http.Request) (*http.Response, error) {
+	resp, err := p.cfg.Client.Do(req)
+	if err != nil || resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusPartialContent {
+		return resp, err
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound && resp.Header.Get("X-Gen-Gone") != "" {
+		return nil, fmt.Errorf("%w: source swept it mid-pull", store.ErrGenGone)
+	}
+	secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After")))
+	if resp.StatusCode == http.StatusServiceUnavailable && err == nil && secs > 0 {
 		p.mu.Lock()
 		p.retryAfter = time.Duration(secs) * time.Second
 		p.mu.Unlock()
 	}
+	return nil, fmt.Errorf("GET %s: status %d", req.URL, resp.StatusCode)
 }

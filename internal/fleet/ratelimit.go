@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Pull bandwidth budget: replication traffic shares the replica's NIC
-// with live serving, and an unthrottled multi-hundred-MB generation
+// Segment bandwidth budget: replication traffic shares the replica's
+// NIC with live serving, and an unthrottled multi-hundred-MB generation
 // pull is exactly the burst that blows a serving-tier p99. A token
 // bucket refilled at MaxBytesPerSec meters every segment body the
-// puller reads (scrub-repair reads are not metered); transfers stretch
-// out, serving keeps its headroom, and the staging area makes the
-// stretched transfer safe to interrupt.
+// puller reads, pull and scrub repair alike; transfers stretch out,
+// serving keeps its headroom, and resumption makes the stretched
+// transfer safe to interrupt.
 
 // throttleChunk bounds one metered read so a tiny budget still makes
 // progress (the bucket's burst is never smaller than one chunk).
@@ -72,27 +72,31 @@ func (b *byteBucket) wait(ctx context.Context, n int) (waited bool, err error) {
 	}
 }
 
-// throttledReader meters an underlying reader against a bucket: each
+// segmentBody is a segment response body read on the puller's
+// account: every byte counts in BytesFetched and, with a bucket, each
 // read is capped at one chunk and paid for after it lands (pay-after
 // smooths to the rate while letting the first chunk through
-// immediately). onWait is called once per read that had to sleep.
-type throttledReader struct {
-	ctx    context.Context
-	r      io.Reader
-	bucket *byteBucket
-	onWait func()
+// immediately); a read the bucket made sleep counts in ThrottleWaits.
+type segmentBody struct {
+	io.Closer           // the response body
+	r         io.Reader // the capped body
+	p         *Puller
+	ctx       context.Context
 }
 
-func (t *throttledReader) Read(p []byte) (int, error) {
-	if len(p) > throttleChunk {
-		p = p[:throttleChunk]
+func (b *segmentBody) Read(buf []byte) (int, error) {
+	if b.p.bucket != nil && len(buf) > throttleChunk {
+		buf = buf[:throttleChunk]
 	}
-	n, err := t.r.Read(p)
+	n, err := b.r.Read(buf)
 	if n > 0 {
-		waited, werr := t.bucket.wait(t.ctx, n)
-		if waited && t.onWait != nil {
-			t.onWait()
-		}
+		waited, werr := b.p.bucket.wait(b.ctx, n)
+		b.p.bump(func(st *PullStatus) {
+			st.BytesFetched += int64(n)
+			if waited {
+				st.ThrottleWaits++
+			}
+		})
 		if werr != nil && err == nil {
 			err = werr
 		}

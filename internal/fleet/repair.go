@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,8 +17,8 @@ import (
 // Every member mounts the /v1/gen shipper over its own store, so a
 // replica that finds a rotten segment can re-fetch exactly those bytes
 // from any peer still holding a verified copy — the store supplies the
-// detection and the swap, this file supplies the "from any peer whose
-// manifest digest matches" fetch.
+// detection and the swap, this file supplies the fetch, through the
+// puller's one segment GET.
 
 // PeerLister enumerates candidate repair peers. FrontMembers resolves
 // them live from the front's member table; StaticPeers pins a fixed
@@ -60,88 +62,65 @@ func StaticPeers(replicas ...Replica) PeerLister {
 	return func(context.Context) ([]Replica, error) { return replicas, nil }
 }
 
-// PeerFetcherConfig wires a repair fetcher.
-type PeerFetcherConfig struct {
-	// Peers enumerates candidate peers each repair attempt.
-	Peers PeerLister
-	// Self is this replica's own base URL, excluded from candidates.
-	Self string
-	// Client issues the fetches (default: 10s timeout).
-	Client *http.Client
-}
-
-// NewPeerFetcher returns a store.SegmentFetch that repairs one segment
-// from the first peer whose manifest for the generation matches the
-// local manifest's corpus digest. The digest gate is what makes repair
-// safe across promotions: a peer holding a same-id generation from a
-// different branch is silently skipped, never blended in. The fetched
-// bytes pass store.CheckSegment here as well as in the scrubber, so a
-// lying peer just means "try the next one".
-func NewPeerFetcher(cfg PeerFetcherConfig) store.SegmentFetch {
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	// get fetches one URL; check, when non-nil, sees the response
-	// headers before a single body byte is read — the shipper
-	// advertises X-Gen-Digest and X-Segment-SHA256, so a peer on a
-	// divergent branch is rejected for free. Peers that predate the
-	// headers (no value present) fall through to the body-level checks.
-	get := func(ctx context.Context, url string, check func(http.Header) error) ([]byte, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := cfg.Client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-		}
-		if check != nil {
-			if err := check(resp.Header); err != nil {
-				return nil, err
-			}
-		}
-		return io.ReadAll(io.LimitReader(resp.Body, maxShipBytes))
-	}
-	headerGate := func(name, want string) func(http.Header) error {
-		return func(h http.Header) error {
-			if got := h.Get(name); got != "" && got != want {
-				return fmt.Errorf("%s %s does not match wanted %s", name, got[:min(12, len(got))], want[:min(12, len(want))])
-			}
-			return nil
-		}
-	}
-	return func(ctx context.Context, gen store.GenInfo, seg store.SegmentInfo) ([]byte, error) {
-		peers, err := cfg.Peers(ctx)
+// RepairFrom returns the scrubber's SegmentFetch over the puller's
+// segment GET, so repairs share its client, header gates, budget and
+// wire counters. It asks peers in order, skipping Self, one GET each;
+// X-Gen-Digest gates the branch and CheckSegment pins the bytes, so a
+// peer on another branch, a rotten copy or a lying peer just means "try
+// the next one". The bytes a cut attempt received are resumed by the
+// next, to any peer: every copy that passes both gates holds the same
+// bytes, and a resumed copy that fails CheckSegment is dropped whole.
+func (p *Puller) RepairFrom(peers PeerLister) store.SegmentFetch {
+	return func(ctx context.Context, gen store.GenInfo, si store.SegmentInfo) ([]byte, error) {
+		list, err := peers(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("listing repair peers: %w", err)
 		}
-		tried := 0
-		for _, peer := range peers {
-			if peer.URL == "" || peer.URL == cfg.Self {
+		tried, err := 0, errors.New("no peer to ask")
+		for _, peer := range list {
+			if peer.URL == "" || peer.URL == p.cfg.Self {
 				continue
 			}
 			tried++
-			mb, err := get(ctx, fmt.Sprintf("%s%smanifest?id=%d", peer.URL, shipPrefix, gen.ID),
-				headerGate("X-Gen-Digest", gen.CorpusSHA256))
-			if err != nil {
-				continue // peer down, divergent branch, or never had the generation
+			var data []byte
+			if data, err = p.repairOnce(ctx, peer.URL, gen, si); err == nil {
+				return data, nil
 			}
-			pgi, err := store.ParseManifest(mb)
-			if err != nil || pgi.ID != gen.ID || pgi.CorpusSHA256 != gen.CorpusSHA256 {
-				continue // different branch or corrupt copy: never blend
-			}
-			data, err := get(ctx, fmt.Sprintf("%s%ssegment/%d/%s", peer.URL, shipPrefix, gen.ID, seg.Name),
-				headerGate("X-Segment-SHA256", seg.SHA256))
-			if err != nil || store.CheckSegment(data, seg) != nil {
-				continue // rotten on the peer too, or corrupted in flight
-			}
-			return data, nil
 		}
-		return nil, fmt.Errorf("no peer holds a verified copy of generation %d %s (%d tried)",
-			gen.ID, seg.Name, tried)
+		return nil, fmt.Errorf("no peer holds a verified copy of generation %d %s (%d tried): %w",
+			gen.ID, si.Name, tried, err)
 	}
+}
+
+// repairOnce asks one peer for the segment under repair, from the end
+// of the bytes held since an earlier attempt was cut.
+func (p *Puller) repairOnce(ctx context.Context, base string, gen store.GenInfo, si store.SegmentInfo) ([]byte, error) {
+	var held bytes.Buffer
+	p.mu.Lock()
+	if p.repairSHA == si.SHA256 {
+		held.Write(p.repairHeld)
+	}
+	p.repairSHA, p.repairHeld = "", nil
+	p.mu.Unlock()
+	if int64(held.Len()) < si.Bytes {
+		body, start, err := p.getSegment(ctx, base, gen.ID, gen.CorpusSHA256, si, int64(held.Len()))
+		if err == nil {
+			held.Truncate(int(start))
+			_, err = held.ReadFrom(body)
+			body.Close()
+		}
+		if err != nil {
+			if !errors.Is(err, store.ErrVerify) { // an unusable range poisons what is held
+				p.mu.Lock()
+				p.repairSHA, p.repairHeld = si.SHA256, held.Bytes()
+				p.mu.Unlock()
+			}
+			return nil, err
+		}
+	}
+	if err := store.CheckSegment(held.Bytes(), si); err != nil {
+		return nil, err
+	}
+	p.bump(func(st *PullStatus) { st.SegmentsFetched++ })
+	return held.Bytes(), nil
 }

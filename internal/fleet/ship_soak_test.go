@@ -15,35 +15,39 @@ import (
 )
 
 // segGet is one observed wire fetch of a segment: which generation and
-// segment, from which byte offset (0 = full GET, >0 = ranged resume).
+// segment, from which host, from which byte offset (0 = full GET, >0 =
+// ranged resume) and under which If-Range validator.
 type segGet struct {
-	gen  string
-	name string
-	off  int64
+	gen, name     string
+	off           int64
+	host, ifRange string
 }
 
 // recordingTransport logs every segment GET passing through it — the
 // soak's proof that verified segments are never re-fetched and resumes
-// are genuinely ranged.
+// are genuinely ranged — and counts every other request.
 type recordingTransport struct {
 	base http.RoundTripper
 
-	mu   sync.Mutex
-	gets []segGet
+	mu     sync.Mutex
+	gets   []segGet
+	others int
 }
 
 func (r *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	r.mu.Lock()
 	if strings.Contains(req.URL.Path, shipPrefix+"segment/") {
 		parts := strings.Split(req.URL.Path, "/")
-		g := segGet{gen: parts[len(parts)-2], name: parts[len(parts)-1]}
+		g := segGet{gen: parts[len(parts)-2], name: parts[len(parts)-1], host: req.URL.Host, ifRange: req.Header.Get("If-Range")}
 		if rg, ok := strings.CutPrefix(req.Header.Get("Range"), "bytes="); ok {
 			v, _, _ := strings.Cut(rg, "-")
 			g.off, _ = strconv.ParseInt(v, 10, 64)
 		}
-		r.mu.Lock()
 		r.gets = append(r.gets, g)
-		r.mu.Unlock()
+	} else {
+		r.others++
 	}
+	r.mu.Unlock()
 	base := r.base
 	if base == nil {
 		base = http.DefaultTransport

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -52,16 +54,40 @@ func segmentDigest(data []byte) string {
 }
 
 // CheckSegment holds one segment's bytes to their manifest entry:
-// exact size first (the cheap check), then the whole-file SHA-256,
-// which pins the exact published bytes. Every copy of a shipped segment
-// passes it before it counts — fetched, resumed, reused locally, or
-// supplied by a repair peer. A mismatch wraps ErrVerify.
+// exact size first, then the whole-file SHA-256, which pins the exact
+// published bytes. Every copy of a shipped segment passes it before it
+// counts — fetched, resumed, reused locally, or supplied by a repair
+// peer. A mismatch wraps ErrVerify.
 func CheckSegment(data []byte, si SegmentInfo) error {
-	if int64(len(data)) != si.Bytes {
-		return fmt.Errorf("%w: segment %s is %d bytes, manifest says %d",
-			ErrVerify, si.Name, len(data), si.Bytes)
+	return checkSegmentFrom(bytes.NewReader(data), si)
+}
+
+// checkSegmentFile is CheckSegment over a file; open errors pass as is.
+func checkSegmentFile(path string, si SegmentInfo) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	if segmentDigest(data) != si.SHA256 {
+	defer f.Close()
+	return checkSegmentFrom(f, si)
+}
+
+// checkSegmentFrom streams r through SHA-256 while it counts bytes, and
+// stops one byte past the manifest's size, so no copy is ever buffered
+// whole and an over-long one costs a single byte more to refuse.
+func checkSegmentFrom(r io.Reader, si SegmentInfo) error {
+	h := sha256.New()
+	n, err := io.Copy(h, io.LimitReader(r, si.Bytes+1))
+	switch {
+	case err != nil:
+		return fmt.Errorf("store: reading segment %s: %w", si.Name, err)
+	case n > si.Bytes:
+		return fmt.Errorf("%w: segment %s is over the %d bytes the manifest says",
+			ErrVerify, si.Name, si.Bytes)
+	case n != si.Bytes:
+		return fmt.Errorf("%w: segment %s is %d bytes, manifest says %d",
+			ErrVerify, si.Name, n, si.Bytes)
+	case hex.EncodeToString(h.Sum(nil)) != si.SHA256:
 		return fmt.Errorf("%w: segment %s SHA-256 mismatch", ErrVerify, si.Name)
 	}
 	return nil

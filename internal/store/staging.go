@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -282,11 +283,8 @@ func (g *Staging) adoptSurvivors() {
 	}
 	for _, si := range g.m.Segments {
 		path := filepath.Join(g.dir, si.Name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		if CheckSegment(data, si) == nil {
+		err := checkSegmentFile(path, si)
+		if err == nil {
 			g.verified[si.Name] = true
 			g.origins[si.Name] = "resumed"
 			if !journaled[si.Name] {
@@ -299,7 +297,9 @@ func (g *Staging) adoptSurvivors() {
 			}
 			continue
 		}
-		os.Remove(path) // final-named but unverifiable: never trust it
+		if errors.Is(err, ErrVerify) {
+			os.Remove(path) // final-named but unverifiable: never trust it
+		}
 	}
 }
 
@@ -353,11 +353,7 @@ func (g *Staging) adoptLocal(src string, si SegmentInfo, origin string) error {
 	if err := g.st.linkOrCopy(src, tmp); err != nil {
 		return err
 	}
-	data, err := os.ReadFile(tmp)
-	if err == nil {
-		err = CheckSegment(data, si)
-	}
-	if err != nil {
+	if err := checkSegmentFile(tmp, si); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -524,13 +520,12 @@ func (g *Staging) CompleteSegment(si SegmentInfo) error {
 		f.Close()
 		return fmt.Errorf("store: syncing partial %s: %w", si.Name, err)
 	}
-	data, err := io.ReadAll(f)
+	err = checkSegmentFrom(f, si)
 	f.Close()
-	if err != nil {
-		return fmt.Errorf("store: reading partial %s: %w", si.Name, err)
-	}
-	if err := CheckSegment(data, si); err != nil {
+	if errors.Is(err, ErrVerify) {
 		os.Remove(path)
+	}
+	if err != nil {
 		return err
 	}
 	return g.promote(path, si, "fetched")
