@@ -177,7 +177,7 @@ bench-gate:
 	$(GO) test -run 'TestComplementaryPairsUnionBudget' -v ./internal/entity/
 	$(GO) test -run 'TestInheritRebuildBudget|TestUnknownLicenseeNoMemo|TestSnapshotLookupBudget|TestOutOfReachAddsNoMemo' -v ./internal/serve/
 
-# Short fuzz pass over the bulk parsers and the two parsers the store's
+# Short fuzz pass over the bulk parsers and the two decoders the store's
 # single install path trusts. The lenient reader must never panic, must
 # always produce a report, and must only load licenses the strict
 # reader would re-accept; around every lifecycle date of what it
@@ -185,8 +185,9 @@ bench-gate:
 # ActiveCountByLicensee must equal the brute-force License.ActiveAt
 # count, so no count goes negative (a seed expires before its grant).
 # The strict reader must round-trip whatever it takes. A shipped manifest is only accepted with a positive generation
-# and segment names Save can write; the staging journal round-trips and
-# any torn prefix parses to a prefix of its entries. The /v1 query
+# and segment names Save can write; a segment's record block never
+# panics the decoder and decodes only when it is byte for byte what the
+# encoder writes for the licenses it returns. The /v1 query
 # parameters never panic or 5xx the service, and every 200 names two
 # distinct data centers, no latency under the c-bound and APA in [0, 1].
 # A /v1/watch resume, whatever its Last-Event-ID and year window,
@@ -201,7 +202,7 @@ fuzz-short:
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulkLenient' -fuzztime 10s
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulk$$' -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseManifest$$' -fuzztime 5s
-	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseJournal$$' -fuzztime 5s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeBlock$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzQueryParams$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzWatchLastEventID$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz 'FuzzFleetJoin$$' -fuzztime 5s

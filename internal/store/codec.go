@@ -399,16 +399,27 @@ func takeFreqs(a *blockArenas, n int) ([]float64, error) {
 	return s, nil
 }
 
+// Minimum encoded sizes of each record kind: a license with empty
+// strings and no locations or paths (7 length prefixes, an i64, three
+// dates and two counts), a location, a path with an empty station
+// class and no frequencies, and a frequency.
+const (
+	minLicenseBytes   = 58
+	minLocationBytes  = 40
+	minPathBytes      = 56
+	minFrequencyBytes = 8
+)
+
 // checkTotal bounds the arena sizes a block header may request; a
-// corrupt header must not drive giant allocations. Checked against the
-// payload size too: every record costs at least one encoded byte, so
-// totals beyond len(payload) are lies.
-func checkTotal(n uint32, payloadLen int, what string) (int, error) {
+// corrupt header must not drive giant allocations. Every record costs
+// at least its kind's minimum encoded size, so a total beyond what the
+// payload could hold is a lie.
+func checkTotal(n uint32, payloadLen, minBytes int, what string) (int, error) {
 	v, err := sliceLen(n, what)
 	if err != nil {
 		return 0, err
 	}
-	if v > payloadLen {
+	if v > payloadLen/minBytes {
 		return 0, fmt.Errorf("store: block header claims %d %ss in a %d-byte payload", v, what, payloadLen)
 	}
 	return v, nil
@@ -423,7 +434,7 @@ func decodeBlock(payload []byte) ([]*uls.License, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := checkTotal(count, len(payload), "license")
+	n, err := checkTotal(count, len(payload), minLicenseBytes, "license")
 	if err != nil {
 		return nil, err
 	}
@@ -440,17 +451,17 @@ func decodeBlock(payload []byte) ([]*uls.License, error) {
 		return nil, err
 	}
 	arenas := &blockArenas{}
-	if v, err := checkTotal(totLoc, len(payload), "location"); err != nil {
+	if v, err := checkTotal(totLoc, len(payload), minLocationBytes, "location"); err != nil {
 		return nil, err
 	} else {
 		arenas.locs = make([]uls.Location, v)
 	}
-	if v, err := checkTotal(totPath, len(payload), "path"); err != nil {
+	if v, err := checkTotal(totPath, len(payload), minPathBytes, "path"); err != nil {
 		return nil, err
 	} else {
 		arenas.paths = make([]uls.Path, v)
 	}
-	if v, err := checkTotal(totFreq, len(payload), "frequency"); err != nil {
+	if v, err := checkTotal(totFreq, len(payload), minFrequencyBytes, "frequency"); err != nil {
 		return nil, err
 	} else {
 		arenas.freqs = make([]float64, v)
@@ -466,6 +477,9 @@ func decodeBlock(payload []byte) ([]*uls.License, error) {
 	}
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("store: %d trailing bytes after %d licenses", len(d.buf)-d.off, n)
+	}
+	if len(arenas.locs)+len(arenas.paths)+len(arenas.freqs) > 0 {
+		return nil, fmt.Errorf("store: block header totals exceed what its %d licenses use", n)
 	}
 	return ls, nil
 }

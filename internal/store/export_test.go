@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -158,12 +157,12 @@ func TestGCReaderRace(t *testing.T) {
 	// corpus or fail with an error the puller can classify (retryable
 	// gone, or a fetch error wrapping it); ErrVerify here would mean a
 	// half-deleted generation leaked through the read side. A staged
-	// pull fsyncs each segment three times, so it can outlast one churn
-	// cycle; like the fleet's puller, a replica keeps its staging across
-	// retryable failures, the next pull harvests the segments already
-	// verified (every churn generation holds the same corpus), and only
-	// the still-missing ones race GC again. After an install the next
-	// pull starts from a cold replica.
+	// pull fsyncs each segment and then its directory, so it can
+	// outlast one churn cycle; like the fleet's puller, a replica keeps
+	// its staging across retryable failures, the next pull harvests the
+	// segments already verified (every churn generation holds the same
+	// corpus), and only the still-missing ones race GC again. After an
+	// install the next pull starts from a cold replica.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -300,10 +299,12 @@ func TestManifestShapeChecked(t *testing.T) {
 	stg.Close()
 }
 
-// fuzzSeeds publishes a real generation and stages it on a second
-// store with its first segment completed, returning the shipped
-// manifest and the staging area's JOURNAL.
-func fuzzSeeds(f *testing.F) (manifestBytes, journal []byte) {
+// FuzzParseManifest feeds ParseManifest raw bytes, and a JSON body the
+// target checksums itself so mutations get past the SHA-256 line. It
+// must never panic, must refuse with ErrVerify, and every manifest it
+// accepts names a positive generation and only segment names Save can
+// write.
+func FuzzParseManifest(f *testing.F) {
 	src := open(f, f.TempDir())
 	gi, err := src.Save(corpus(f), "fuzz seed")
 	if err != nil {
@@ -313,43 +314,6 @@ func fuzzSeeds(f *testing.F) (manifestBytes, journal []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	dst := open(f, f.TempDir())
-	stg, err := dst.OpenStaging(mb)
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer stg.Close()
-	si := gi.Segments[0]
-	data, err := shippedSegment(src, gi.ID, si.Name)
-	if err != nil {
-		f.Fatal(err)
-	}
-	w, err := stg.SegmentWriter(si)
-	if err != nil {
-		f.Fatal(err)
-	}
-	_, err = w.Write(data)
-	w.Close()
-	if err == nil {
-		err = stg.CompleteSegment(si)
-	}
-	if err != nil {
-		f.Fatal(err)
-	}
-	journal, err = os.ReadFile(filepath.Join(dst.Dir(), stagingRootName, stagingDirName(gi.ID), stagingJournalFile))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return mb, journal
-}
-
-// FuzzParseManifest feeds ParseManifest raw bytes, and a JSON body the
-// target checksums itself so mutations get past the SHA-256 line. It
-// must never panic, must refuse with ErrVerify, and every manifest it
-// accepts names a positive generation and only segment names Save can
-// write.
-func FuzzParseManifest(f *testing.F) {
-	mb, _ := fuzzSeeds(f)
 	body, _, _ := bytes.Cut(mb, []byte("\n"))
 	f.Add(mb, body)
 	gen0, _, _ := bytes.Cut(reseal(f, mb, func(m *manifest) { m.Generation = 0 }), []byte("\n"))

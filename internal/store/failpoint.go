@@ -53,25 +53,20 @@ func callFP(hook func() error) error {
 // they fire:
 //
 //	fetched bytes appended ──MidSegmentWrite──▶ partial grows
-//	partial verified + renamed ──BeforeJournal──▶ journal line appended
-//	journal line fsynced ──AfterJournal──▶ segment counts as done
+//	partial verified + renamed + dir synced ──AfterVerify──▶ segment counts as done
 //
 // A crash at MidSegmentWrite leaves an untrusted partial a resumed
 // pull must range-fetch past and re-verify whole. A crash at
-// BeforeJournal leaves a verified final-named segment with no journal
-// line — the one window where the bytes lead the record — which
-// OpenStaging re-hashes and adopts. A crash at AfterJournal loses
-// nothing: bytes and record both landed.
+// AfterVerify leaves a verified final-named segment, which OpenStaging
+// re-hashes and adopts.
 type StagingFailpoints struct {
 	// MidSegmentWrite fires before each append to a segment's partial
 	// file, with the segment name and the offset the bytes would land
 	// at.
 	MidSegmentWrite func(name string, off int64) error
-	// BeforeJournal fires after a segment is verified and renamed to
-	// its final name but before its journal line is appended.
-	BeforeJournal func(name string) error
-	// AfterJournal fires after the segment's journal line is fsynced.
-	AfterJournal func(name string) error
+	// AfterVerify fires after a segment is verified, renamed to its
+	// final name and its directory synced.
+	AfterVerify func(name string) error
 }
 
 func (fp StagingFailpoints) midWrite(name string, off int64) error {

@@ -15,11 +15,13 @@ import (
 // InstallStaged and boot verify a generation once; bit-rot after that point
 // is only caught when the generation is next loaded — which for a
 // long-serving replica is never. The Scrubber closes that gap: a
-// throttled background walk over every committed generation running
-// the same deep ladder Fsck uses (exact size, whole-file SHA-256,
-// block CRC32C chain), segment by segment, with a configurable pause
-// between files so scrubbing never competes with serving for disk
-// bandwidth.
+// throttled background walk over every committed generation that holds
+// each segment file to its manifest entry the way staging does (exact
+// size, then whole-file SHA-256, streamed with no whole-segment
+// buffer), with a configurable pause between files so scrubbing never
+// competes with serving for disk bandwidth. A SHA-256 match pins every
+// byte Save published, so the block CRC walk would detect nothing
+// more.
 //
 // The repair ladder, in order:
 //
@@ -129,7 +131,7 @@ func (sc *Scrubber) Run(ctx context.Context) {
 }
 
 // ScrubOnce walks every committed generation once, verifying each
-// segment on the deep Fsck ladder and repairing what it can. It
+// segment file against its manifest entry and repairing what it can. It
 // returns early (with ctx.Err) on cancellation; all other failures are
 // recorded in the status counters rather than returned, because a
 // scrub cycle is best-effort by design.
@@ -180,7 +182,7 @@ func (sc *Scrubber) ScrubOnce(ctx context.Context) error {
 func (sc *Scrubber) scrubSegment(ctx context.Context, m *manifest, gi GenInfo, si SegmentInfo, committed int) {
 	id := m.Generation
 	path := filepath.Join(sc.st.dir, genDirName(id), si.Name)
-	_, verr := readSegment(path, si, true)
+	verr := checkSegmentFile(path, si)
 	sc.note(func(st *ScrubStatus) { st.Segments++ })
 	if verr == nil {
 		sc.clearMiss(id, si.Name)

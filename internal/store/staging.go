@@ -1,16 +1,12 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"hftnetview/internal/uls"
@@ -25,49 +21,46 @@ import (
 // generation. Staging avoids both:
 //
 //	dir/staging/<gen-000007>/
-//	  MANIFEST.bin      the incoming manifest, verbatim, saved first
-//	  JOURNAL           checksummed append-only resume journal
+//	  MANIFEST.bin      the incoming manifest, verbatim, pinned first
 //	  seg-0003.dat      complete-and-verified segment
 //	  seg-0007.dat.part in-progress partial (never trusted)
 //
 // The staging directory survives process restarts deliberately: it is
 // not swept by Open/Close (unlike tmp-gen-*), so a replica killed
-// mid-pull resumes where it stopped. The JOURNAL records which
-// segments are complete-and-verified, one checksummed line per event;
-// a torn tail line (crash mid-append) is ignored. A segment reaches
-// the journal only after CheckSegment passed — exact size, then
-// SHA-256 against the manifest entry — and the verified file was
-// renamed from its .part name and the directory synced, in that
-// order. So every crash window is safe:
+// mid-pull resumes where it stopped. The area keeps no other record:
+// the pinned manifest says which pull it holds, and a file under a
+// segment's final name is that segment's verified bytes. A segment
+// gets its final name only after CheckSegment passed — exact size,
+// then SHA-256 against the manifest entry — and the rename is made
+// durable by a directory sync. So every crash window is safe:
 //
-//	crash mid-.part-write  → the partial is resumed by a ranged fetch
-//	                         and never trusted until the whole-file
-//	                         digest passes;
-//	crash after rename,    → the final-named file is re-hashed at the
-//	  before journal append  next open and adopted iff it matches the
-//	                         manifest (it was verified; the journal
-//	                         line just never landed);
-//	crash mid-journal-append → the torn line is dropped, the file is
-//	                         re-hashed and re-adopted as above.
+//	crash mid-pin-write   → the pin does not hold the incoming bytes,
+//	                        so the next open starts the area over;
+//	crash mid-.part-write → the partial is resumed by a ranged fetch
+//	                        and never trusted until the whole-file
+//	                        digest passes;
+//	crash after a rename  → the final-named file is re-hashed at the
+//	                        next open and adopted iff it matches the
+//	                        manifest.
 //
 // OpenStaging re-verifies everything it adopts by re-hashing the bytes
-// on disk, so resume never trusts state it cannot prove; the journal
-// is the record of intent and provenance, not a substitute for proof.
+// on disk, so resume never trusts state it cannot prove.
 //
 // Segment reuse is what makes shipping delta-based: any segment of the
 // incoming manifest whose (SHA-256, size) already exists in a local
-// committed generation — or verified in another staging area — is
-// hard-linked (copy fallback) into staging, re-hashed, and never
-// fetched. Successive generations that share most of their corpus ship
-// only the changed segments over the wire.
+// committed generation — or under its final name in another staging
+// area — is hard-linked (copy fallback) into staging, re-hashed, and
+// never fetched. Successive generations that share most of their
+// corpus ship only the changed segments over the wire.
 //
-// A staging area is abandoned only when the manifest digest changes
-// for its generation id (the source re-published a different id, or a
-// promotion moved the branch): same id + same manifest digest always
-// resumes. Opening a staging area for a new id harvests digest-matching
-// segments from, then removes, any older staging debris, so at most one
-// staging directory survives a pull cycle; GC sweeps staging dirs whose
-// generation is already committed.
+// A staging area is abandoned only when its pin differs from the
+// incoming manifest bytes for its generation id (the source
+// re-published a different id, or a promotion moved the branch): same
+// id + same manifest bytes always resumes. Opening a staging area for
+// a new id harvests digest-matching segments from, then removes, any
+// older staging debris, so at most one staging directory survives a
+// pull cycle; GC sweeps staging dirs whose generation is already
+// committed.
 
 // stagingRootName is the store subdirectory holding per-pull staging
 // areas. Like quarantine/, it is invisible to Load, List, Fsck, and the
@@ -76,7 +69,6 @@ const stagingRootName = "staging"
 
 const (
 	stagingManifestFile = "MANIFEST.bin"
-	stagingJournalFile  = "JOURNAL"
 	partialSuffix       = ".part"
 )
 
@@ -84,60 +76,6 @@ func stagingDirName(id int64) string { return genDirName(id) }
 
 // parseStagingID extracts the generation id from a staging dir name.
 func parseStagingID(name string) int64 { return parseGenDirID(name) }
-
-// journalEntry is one checksummed JOURNAL line. Type "begin" pins the
-// generation id and manifest digest the staging area was opened for;
-// type "segment" records one complete-and-verified segment.
-type journalEntry struct {
-	Type string `json:"type"`
-	// begin fields
-	Generation     int64  `json:"generation,omitempty"`
-	ManifestSHA256 string `json:"manifest_sha256,omitempty"`
-	// segment fields
-	Name   string `json:"name,omitempty"`
-	SHA256 string `json:"sha256,omitempty"`
-	Bytes  int64  `json:"bytes,omitempty"`
-	// Origin is how the bytes arrived: "fetched" over the wire,
-	// "reused" from a local committed generation or older staging
-	// area, "resumed" re-adopted from a prior pull of this very
-	// generation (including the crash-before-journal window).
-	Origin string `json:"origin,omitempty"`
-}
-
-func appendJournalLine(w io.Writer, e journalEntry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("store: encoding journal entry: %w", err)
-	}
-	sum := sha256.Sum256(payload)
-	_, err = fmt.Fprintf(w, "%s %s\n", hex.EncodeToString(sum[:]), payload)
-	return err
-}
-
-// parseJournal decodes the checksummed journal lines, dropping any line
-// whose checksum does not match (a torn append) and everything after it.
-func parseJournal(data []byte) []journalEntry {
-	var out []journalEntry
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		sumHex, payload, ok := strings.Cut(line, " ")
-		if !ok {
-			return out // torn tail
-		}
-		sum := sha256.Sum256([]byte(payload))
-		if hex.EncodeToString(sum[:]) != sumHex {
-			return out // torn or corrupted tail
-		}
-		var e journalEntry
-		if json.Unmarshal([]byte(payload), &e) != nil {
-			return out
-		}
-		out = append(out, e)
-	}
-	return out
-}
 
 // Staging is one in-progress generation pull: a durable, resumable
 // download area for the segments one manifest promises. Not safe for
@@ -147,9 +85,7 @@ type Staging struct {
 	dir           string
 	m             *manifest
 	manifestBytes []byte
-	manifestSHA   string
 
-	journal  *os.File
 	verified map[string]bool   // segment name -> verified on disk under its final name
 	origins  map[string]string // segment name -> fetched | resumed | reused
 	writer   *StagingWriter    // at most one open partial writer
@@ -158,12 +94,12 @@ type Staging struct {
 
 // OpenStaging opens (or resumes) the staging area for one shipped
 // manifest. The manifest bytes are self-verified first; a staging
-// directory already holding a different manifest digest for the same
-// generation id is abandoned and restarted, the same digest is resumed
-// with every previously verified segment re-hashed and adopted. Older
-// staging areas (other generation ids) are harvested for digest-matching
-// segments and removed. A generation this store already committed
-// returns os.ErrExist.
+// directory whose pinned MANIFEST.bin holds other bytes for the same
+// generation id is abandoned and restarted, one holding these exact
+// bytes is resumed with every final-named segment re-hashed and
+// adopted. Older staging areas (other generation ids) are harvested
+// for digest-matching segments and removed. A generation this store
+// already committed returns os.ErrExist.
 func (s *Store) OpenStaging(manifestBytes []byte) (*Staging, error) {
 	m, err := parseManifestBytes(manifestBytes)
 	if err != nil {
@@ -179,58 +115,29 @@ func (s *Store) OpenStaging(manifestBytes []byte) (*Staging, error) {
 		return nil, fmt.Errorf("store: generation %d already installed: %w", m.Generation, os.ErrExist)
 	}
 
-	sum := sha256.Sum256(manifestBytes)
 	stg := &Staging{
 		st:            s,
 		dir:           filepath.Join(s.dir, stagingRootName, stagingDirName(m.Generation)),
 		m:             m,
 		manifestBytes: append([]byte(nil), manifestBytes...),
-		manifestSHA:   hex.EncodeToString(sum[:]),
 		verified:      make(map[string]bool),
 		origins:       make(map[string]string),
 	}
 
-	// A prior staging area for this id resumes iff it was opened for
-	// these exact manifest bytes; anything else is a different branch
-	// or a re-publish and starts over.
-	fresh := true
-	if entries := stg.readJournal(); len(entries) > 0 {
-		if entries[0].Type == "begin" &&
-			entries[0].Generation == m.Generation &&
-			entries[0].ManifestSHA256 == stg.manifestSHA {
-			fresh = false
-		} else {
-			os.RemoveAll(stg.dir)
-		}
-	} else if _, err := os.Stat(stg.dir); err == nil {
-		os.RemoveAll(stg.dir) // journal unreadable or missing: untrusted debris
-	}
-
-	if fresh {
+	// A prior staging area for this id resumes iff its pin holds these
+	// exact manifest bytes; anything else — a different branch, a
+	// re-publish, a torn pin — starts over.
+	if pinned, err := os.ReadFile(filepath.Join(stg.dir, stagingManifestFile)); err == nil &&
+		bytes.Equal(pinned, manifestBytes) {
+		stg.adoptSurvivors()
+	} else {
+		os.RemoveAll(stg.dir)
 		if err := os.MkdirAll(stg.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: creating staging dir: %w", err)
 		}
 		if err := s.writeFileSync(filepath.Join(stg.dir, stagingManifestFile), manifestBytes); err != nil {
 			return nil, err
 		}
-		j, err := stg.openJournal()
-		if err != nil {
-			return nil, err
-		}
-		stg.journal = j
-		if err := stg.appendJournal(journalEntry{
-			Type: "begin", Generation: m.Generation, ManifestSHA256: stg.manifestSHA,
-		}); err != nil {
-			j.Close()
-			return nil, err
-		}
-	} else {
-		j, err := stg.openJournal()
-		if err != nil {
-			return nil, err
-		}
-		stg.journal = j
-		stg.adoptSurvivors()
 	}
 
 	// Delta reuse: harvest digest-matching segments from committed
@@ -240,61 +147,19 @@ func (s *Store) OpenStaging(manifestBytes []byte) (*Staging, error) {
 	return stg, nil
 }
 
-func (g *Staging) openJournal() (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(g.dir, stagingJournalFile),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening staging journal: %w", err)
-	}
-	return f, nil
-}
-
-func (g *Staging) readJournal() []journalEntry {
-	data, err := os.ReadFile(filepath.Join(g.dir, stagingJournalFile))
-	if err != nil {
-		return nil
-	}
-	return parseJournal(data)
-}
-
-// appendJournal durably appends one entry (write + fsync).
-func (g *Staging) appendJournal(e journalEntry) error {
-	if err := appendJournalLine(g.journal, e); err != nil {
-		return fmt.Errorf("store: appending staging journal: %w", err)
-	}
-	if err := g.journal.Sync(); err != nil {
-		return fmt.Errorf("store: syncing staging journal: %w", err)
-	}
-	return nil
-}
-
 // adoptSurvivors re-verifies what a prior pull of this generation left
-// behind: every final-named segment file — journaled or caught in the
-// crash-before-journal window — is re-hashed against the manifest and
-// adopted iff it matches; anything else final-named is deleted (it can
-// only be garbage from a torn rename). Partials are left alone: they
-// are resumed by ranged fetches and verified at completion.
+// behind: every final-named segment file is re-hashed against the
+// manifest and adopted iff it matches; anything else final-named is
+// deleted (its bytes are not the ones the manifest pins, so they are
+// never trusted). Partials are left alone: they are resumed by ranged
+// fetches and verified at completion.
 func (g *Staging) adoptSurvivors() {
-	journaled := make(map[string]bool)
-	for _, e := range g.readJournal() {
-		if e.Type == "segment" {
-			journaled[e.Name] = true
-		}
-	}
 	for _, si := range g.m.Segments {
 		path := filepath.Join(g.dir, si.Name)
 		err := checkSegmentFile(path, si)
 		if err == nil {
 			g.verified[si.Name] = true
 			g.origins[si.Name] = "resumed"
-			if !journaled[si.Name] {
-				// The crash-before-journal window: verified bytes whose
-				// journal line never landed. Record them now.
-				g.appendJournal(journalEntry{
-					Type: "segment", Name: si.Name, SHA256: si.SHA256,
-					Bytes: si.Bytes, Origin: "resumed",
-				})
-			}
 			continue
 		}
 		if errors.Is(err, ErrVerify) {
@@ -304,25 +169,17 @@ func (g *Staging) adoptSurvivors() {
 }
 
 // reuseAll hard-links every still-missing segment whose digest already
-// exists locally — in a committed generation or verified in an older
-// staging area — re-hashing each link before adopting it.
+// exists locally — in a committed generation or under its final name
+// in an older staging area — re-hashing each link before adopting it.
 func (g *Staging) reuseAll() {
-	var index map[string]string // "sha256/bytes" -> source path
-	build := func() {
-		index = g.st.localSegmentIndexLocked()
-	}
-	for _, si := range g.m.Segments {
-		if g.verified[si.Name] {
-			continue
-		}
+	var index map[segDigest]string
+	for _, si := range g.Missing() {
 		if index == nil {
-			build()
+			index = g.st.localSegmentIndexLocked()
 		}
-		src, ok := index[si.SHA256+"/"+strconv.FormatInt(si.Bytes, 10)]
-		if !ok {
-			continue
+		if src, ok := index[digestOf(si)]; ok {
+			_ = g.adoptLocal(src, si) // a failed link or check leaves it missing
 		}
-		_ = g.adoptLocal(src, si, "reused") // a failed link or check leaves it missing
 	}
 }
 
@@ -337,17 +194,14 @@ func (g *Staging) ReuseLocal(si SegmentInfo) bool {
 	g.st.mu.Lock()
 	index := g.st.localSegmentIndexLocked()
 	g.st.mu.Unlock()
-	src, ok := index[si.SHA256+"/"+strconv.FormatInt(si.Bytes, 10)]
-	if !ok {
-		return false
-	}
-	return g.adoptLocal(src, si, "reused") == nil
+	src, ok := index[digestOf(si)]
+	return ok && g.adoptLocal(src, si) == nil
 }
 
 // adoptLocal links (or copies) src into the staging area under a temp
 // name, re-hashes it against the manifest entry, and promotes it to
-// verified exactly like a fetched segment: rename, dir sync, journal.
-func (g *Staging) adoptLocal(src string, si SegmentInfo, origin string) error {
+// verified exactly like a fetched segment: rename, then dir sync.
+func (g *Staging) adoptLocal(src string, si SegmentInfo) error {
 	tmp := filepath.Join(g.dir, si.Name+".reuse")
 	os.Remove(tmp)
 	if err := g.st.linkOrCopy(src, tmp); err != nil {
@@ -357,12 +211,12 @@ func (g *Staging) adoptLocal(src string, si SegmentInfo, origin string) error {
 		os.Remove(tmp)
 		return err
 	}
-	return g.promote(tmp, si, origin)
+	return g.promote(tmp, si, "reused")
 }
 
 // promote renames a fully verified temp/partial file to its final
-// segment name, syncs the directory, and journals the verification —
-// in that order, so the journal never leads the bytes.
+// segment name and syncs the directory: from then on the final name is
+// the record that the segment was verified.
 func (g *Staging) promote(from string, si SegmentInfo, origin string) error {
 	final := filepath.Join(g.dir, si.Name)
 	if err := os.Rename(from, final); err != nil {
@@ -371,20 +225,9 @@ func (g *Staging) promote(from string, si SegmentInfo, origin string) error {
 	if err := syncDir(g.dir); err != nil {
 		return fmt.Errorf("store: syncing %s: %w", g.dir, err)
 	}
-	if err := callNameFP(g.st.stagingFP.BeforeJournal, si.Name); err != nil {
-		return err
-	}
-	if err := g.appendJournal(journalEntry{
-		Type: "segment", Name: si.Name, SHA256: si.SHA256, Bytes: si.Bytes, Origin: origin,
-	}); err != nil {
-		return err
-	}
 	g.verified[si.Name] = true
 	g.origins[si.Name] = origin
-	if err := callNameFP(g.st.stagingFP.AfterJournal, si.Name); err != nil {
-		return err
-	}
-	return nil
+	return callNameFP(g.st.stagingFP.AfterVerify, si.Name)
 }
 
 // linkOrCopy hard-links src to dst, falling back to a durable byte
@@ -398,7 +241,7 @@ func (s *Store) linkOrCopy(src, dst string) error {
 	return s.copyFile(src, dst)
 }
 
-// copyFile copies src to dst and fsyncs the copy: callers journal it
+// copyFile copies src to dst and fsyncs the copy: callers promote it
 // as verified or commit it after only a directory sync, so its bytes
 // must already be on disk.
 func (s *Store) copyFile(src, dst string) error {
@@ -502,8 +345,7 @@ func (g *Staging) closeWriter() {
 }
 
 // CompleteSegment fsyncs one segment's partial file and holds it to
-// CheckSegment — and only then promotes it to its final name and
-// journals it. A partial that fails is deleted (resume must never
+// CheckSegment — and only then promotes it to its final name. A partial that fails is deleted (resume must never
 // trust it) and the error wraps ErrVerify so the caller re-fetches
 // from byte zero.
 func (g *Staging) CompleteSegment(si SegmentInfo) error {
@@ -551,9 +393,6 @@ func (g *Staging) Close() {
 	}
 	g.closed = true
 	g.closeWriter()
-	if g.journal != nil {
-		g.journal.Close()
-	}
 }
 
 // InstallStaged is the only way a shipped generation is committed:
@@ -634,11 +473,20 @@ func (s *Store) InstallStaged(g *Staging) (*GenInfo, *uls.Database, error) {
 	return &gi, db, nil
 }
 
-// localSegmentIndexLocked maps "sha256/bytes" of every segment in every
-// committed generation — plus every verified segment in staging areas —
-// to its on-disk path. Caller holds s.mu.
-func (s *Store) localSegmentIndexLocked() map[string]string {
-	index := make(map[string]string)
+// segDigest is a segment's content address: equal digests are equal
+// bytes, whatever the segment's name or generation.
+type segDigest struct {
+	sha256 string
+	bytes  int64
+}
+
+func digestOf(si SegmentInfo) segDigest { return segDigest{si.SHA256, si.Bytes} }
+
+// localSegmentIndexLocked maps the digest of every segment in every
+// committed generation — plus every final-named segment in staging
+// areas — to its on-disk path. Caller holds s.mu.
+func (s *Store) localSegmentIndexLocked() map[segDigest]string {
+	index := make(map[segDigest]string)
 	ids, err := s.manifestIDs()
 	if err != nil {
 		return index
@@ -651,12 +499,11 @@ func (s *Store) localSegmentIndexLocked() map[string]string {
 			continue
 		}
 		for _, si := range m.Segments {
-			index[si.SHA256+"/"+strconv.FormatInt(si.Bytes, 10)] =
-				filepath.Join(s.dir, genDirName(id), si.Name)
+			index[digestOf(si)] = filepath.Join(s.dir, genDirName(id), si.Name)
 		}
 	}
-	// Verified segments in staging areas (an abandoned pull's completed
-	// work is still byte-proven — harvesting it is free).
+	// Final-named segments in staging areas (an abandoned pull's
+	// completed work; adoptLocal re-hashes whatever it links).
 	root := filepath.Join(s.dir, stagingRootName)
 	ents, err := os.ReadDir(root)
 	if err != nil {
@@ -667,21 +514,33 @@ func (s *Store) localSegmentIndexLocked() map[string]string {
 			continue
 		}
 		sdir := filepath.Join(root, e.Name())
-		data, err := os.ReadFile(filepath.Join(sdir, stagingJournalFile))
-		if err != nil {
-			continue
-		}
-		for _, je := range parseJournal(data) {
-			if je.Type != "segment" {
-				continue
-			}
-			path := filepath.Join(sdir, je.Name)
-			if fi, err := os.Stat(path); err == nil && fi.Size() == je.Bytes {
-				index[je.SHA256+"/"+strconv.FormatInt(je.Bytes, 10)] = path
-			}
+		for _, si := range stagedSegments(sdir) {
+			index[digestOf(si)] = filepath.Join(sdir, si.Name)
 		}
 	}
 	return index
+}
+
+// stagedSegments returns the segments of one staging area's pinned
+// manifest that sit on disk under their final names at their manifest
+// size — what its pull verified, short of the re-hash every adoption
+// still runs. An area without a readable pin has none.
+func stagedSegments(sdir string) []SegmentInfo {
+	data, err := os.ReadFile(filepath.Join(sdir, stagingManifestFile))
+	if err != nil {
+		return nil
+	}
+	m, err := parseManifestBytes(data)
+	if err != nil {
+		return nil
+	}
+	var out []SegmentInfo
+	for _, si := range m.Segments {
+		if fi, err := os.Stat(filepath.Join(sdir, si.Name)); err == nil && fi.Size() == si.Bytes {
+			out = append(out, si)
+		}
+	}
+	return out
 }
 
 // sweepStagingLocked removes staging areas other than keep's — older
@@ -737,37 +596,25 @@ func (s *Store) StagingIDs() ([]int64, error) {
 }
 
 // StagingReport describes one staging area without opening it: which
-// segments its journal records as verified (and still present under
-// their final names), and the partial sizes of in-progress segments.
+// segments of its pinned manifest sit under their final names at their
+// manifest size, and the partial sizes of in-progress segments.
 type StagingReport struct {
-	Generation     int64
-	ManifestSHA256 string
-	Verified       []string
-	Partial        map[string]int64
+	Generation int64
+	Verified   []string
+	Partial    map[string]int64
 }
 
 // StagingReportFor inspects one staging area read-only (tests and
 // tooling; returns os.ErrNotExist when none exists for id).
 func (s *Store) StagingReportFor(id int64) (*StagingReport, error) {
 	dir := filepath.Join(s.dir, stagingRootName, stagingDirName(id))
-	data, err := os.ReadFile(filepath.Join(dir, stagingJournalFile))
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	rep := &StagingReport{Generation: id, Partial: make(map[string]int64)}
-	for _, e := range parseJournal(data) {
-		switch e.Type {
-		case "begin":
-			rep.ManifestSHA256 = e.ManifestSHA256
-		case "segment":
-			if fi, err := os.Stat(filepath.Join(dir, e.Name)); err == nil && fi.Size() == e.Bytes {
-				rep.Verified = append(rep.Verified, e.Name)
-			}
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	for _, si := range stagedSegments(dir) {
+		rep.Verified = append(rep.Verified, si.Name)
 	}
 	for _, e := range ents {
 		if name, ok := strings.CutSuffix(e.Name(), partialSuffix); ok {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -116,7 +115,7 @@ func stagedPull(t testing.TB, dst, src *Store, srcID int64, mb []byte, log *fetc
 }
 
 // crashBudget arms every staging failpoint with a shared countdown:
-// the Nth event (partial write, pre-journal, post-journal) crashes.
+// the Nth event (partial write, post-verify) crashes.
 type crashBudget struct {
 	remaining int
 	armed     bool
@@ -139,19 +138,17 @@ func (c *crashBudget) points() StagingFailpoints {
 		MidSegmentWrite: func(name string, off int64) error {
 			return c.tick(fmt.Sprintf("mid-write %s@%d", name, off))
 		},
-		BeforeJournal: func(name string) error { return c.tick("before-journal " + name) },
-		AfterJournal:  func(name string) error { return c.tick("after-journal " + name) },
+		AfterVerify: func(name string) error { return c.tick("after-verify " + name) },
 	}
 }
 
 // TestStagingCrashRecovery is the torn-transfer matrix: seeds 1–20
 // each kill the pull at a different staging event — mid-partial-write,
-// after a segment's verify+rename but before its journal line, and
-// right after the journal append — then resume with a fresh pull.
-// Invariants, per seed:
+// or right after a segment's verify, rename and directory sync — then
+// resume with a fresh pull. Invariants, per seed:
 //
 //   - resume never re-fetches a byte of any segment the crashed pull
-//     verified (journaled or caught in the pre-journal window);
+//     verified (left on disk under its final name);
 //   - resume never trusts an unverified partial: the surviving bytes
 //     are continued from their exact offset and the whole file still
 //     has to pass the size+SHA-256 ladder;
@@ -193,9 +190,8 @@ func TestStagingCrashRecovery(t *testing.T) {
 				for _, name := range rep.Verified {
 					verifiedAtCrash[name] = true
 				}
-				// The pre-journal window: a final-named file the journal
-				// has not recorded. The report intentionally omits it, but
-				// resume must adopt it; find such files on disk.
+				// Every final-named file on disk is a verified segment
+				// resume must adopt without a fetch.
 				sdir := filepath.Join(dst.Dir(), stagingRootName, stagingDirName(gi.ID))
 				finalNamed := map[string]bool{}
 				for _, si := range gi.Segments {
@@ -436,115 +432,230 @@ func TestStagingAbandonOnDigestChange(t *testing.T) {
 	stgA.Close()
 }
 
-// TestStagingJournalTornTail: a torn (half-written) journal line — the
-// crash-mid-append shape — must invalidate only itself; the journaled
-// prefix and the on-disk verified segments still resume.
-func TestStagingJournalTornTail(t *testing.T) {
-	db := corpus(t)
-	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
-	gi, err := src.Save(db, "torn tail source")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, _, _ := src.ExportManifest(gi.ID)
-
-	dst := open(t, t.TempDir())
+// stageSegment opens a staging area for mb, completes one segment from
+// src and closes the area: the state a pull cut right after that
+// segment leaves.
+func stageSegment(t *testing.T, dst, src *Store, id int64, mb []byte, si SegmentInfo) {
+	t.Helper()
 	stg, err := dst.OpenStaging(mb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := gi.Segments[0]
-	data, _ := shippedSegment(src, gi.ID, si.Name)
-	w, _ := stg.SegmentWriter(si)
+	defer stg.Close()
+	data, err := shippedSegment(src, id, si.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := stg.SegmentWriter(si)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.Write(data)
 	w.Close()
 	if err := stg.CompleteSegment(si); err != nil {
 		t.Fatal(err)
 	}
-	stg.Close()
+}
 
-	// Tear the journal tail: a checksum-less fragment of a line.
-	jpath := filepath.Join(dst.Dir(), stagingRootName, stagingDirName(gi.ID), stagingJournalFile)
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
+// TestStagingRottenSegmentRefetched: a final-named staged segment is
+// only a candidate until OpenStaging re-hashes it. One flipped byte
+// removes it there, and the pull fetches it again from byte zero.
+func TestStagingRottenSegmentRefetched(t *testing.T) {
+	db := corpus(t)
+	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
+	gi, err := src.Save(db, "rot source")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`deadbeef {"type":"segm`)
-	f.Close()
+	mb, _, _ := src.ExportManifest(gi.ID)
+	si := gi.Segments[0]
+
+	dst := open(t, t.TempDir())
+	stageSegment(t, dst, src, gi.ID, mb, si)
+
+	final := filepath.Join(dst.Dir(), stagingRootName, stagingDirName(gi.ID), si.Name)
+	rotten, err := os.ReadFile(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotten[len(rotten)/2] ^= 0x01
+	if err := os.WriteFile(final, rotten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stg, err := dst.OpenStaging(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stg.Verified(si.Name) {
+		t.Fatalf("OpenStaging adopted a rotten %s", si.Name)
+	}
+	stg.Close()
+	if _, err := os.Stat(final); !os.IsNotExist(err) {
+		t.Fatalf("rotten %s kept its final name (err %v)", si.Name, err)
+	}
 
 	log := &fetchLog{}
 	if _, _, err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
-		t.Fatalf("resume over torn journal: %v", err)
+		t.Fatalf("pull after rot: %v", err)
 	}
-	if fs := log.fetchesOf(si.Name); len(fs) != 0 {
-		t.Fatalf("torn tail caused re-fetch of verified %s: %+v", si.Name, fs)
+	if fs := log.fetchesOf(si.Name); len(fs) != 1 || fs[0].off != 0 {
+		t.Fatalf("fetches of rotten %s = %+v, want one from offset 0", si.Name, fs)
 	}
 	if back, _, _, err := dst.Load(); err != nil || !bytes.Equal(bulkBytes(t, back), bulkBytes(t, db)) {
-		t.Fatalf("post-torn-tail install differs (err %v)", err)
+		t.Fatalf("post-rot install differs (err %v)", err)
 	}
 }
 
-// TestParseJournal covers the checksummed line format directly.
-func TestParseJournal(t *testing.T) {
-	var buf bytes.Buffer
-	entries := []journalEntry{
-		{Type: "begin", Generation: 7, ManifestSHA256: "abc"},
-		{Type: "segment", Name: "seg-0000.dat", SHA256: "def", Bytes: 42, Origin: "fetched"},
+// TestStagingHarvestsAbandonedPull: a later generation's pull takes an
+// abandoned pull's verified segment by digest — origin reused, no
+// fetch — and the abandoned area is removed.
+func TestStagingHarvestsAbandonedPull(t *testing.T) {
+	db := corpus(t)
+	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
+	gi1, err := src.Save(db, "abandoned generation")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if err := appendJournalLine(&buf, e); err != nil {
-			t.Fatal(err)
-		}
+	gi2, err := src.Save(db, "later generation, same corpus")
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := parseJournal(buf.Bytes())
-	if len(good) != 2 || good[0].Type != "begin" || good[1].Name != "seg-0000.dat" {
-		t.Fatalf("round trip = %+v", good)
+	mb1, _, _ := src.ExportManifest(gi1.ID)
+	mb2, _, _ := src.ExportManifest(gi2.ID)
+	si := gi1.Segments[0]
+
+	dst := open(t, t.TempDir())
+	stageSegment(t, dst, src, gi1.ID, mb1, si)
+
+	stg, err := dst.OpenStaging(mb2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A flipped byte in the tail line invalidates that line only.
-	raw := buf.Bytes()
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)-3] ^= 0x40
-	if got := parseJournal(flipped); len(got) != 1 || got[0].Type != "begin" {
-		t.Fatalf("corrupt tail = %+v, want the begin record alone", got)
+	if o := stg.Origin(si.Name); o != "reused" {
+		t.Fatalf("segment %s origin %q, want reused from the abandoned pull", si.Name, o)
 	}
-	// Garbage up front poisons everything after it.
-	if got := parseJournal(append([]byte("junk\n"), raw...)); len(got) != 0 {
-		t.Fatalf("corrupt head = %+v, want nothing", got)
+	stg.Close()
+	if ids, _ := dst.StagingIDs(); len(ids) != 1 || ids[0] != gi2.ID {
+		t.Fatalf("staging areas after the harvest = %v, want only %d", ids, gi2.ID)
+	}
+
+	log := &fetchLog{}
+	if _, _, err := stagedPull(t, dst, src, gi2.ID, mb2, log); err != nil {
+		t.Fatal(err)
+	}
+	if fs := log.fetchesOf(si.Name); len(fs) != 0 {
+		t.Fatalf("harvested %s was fetched: %+v", si.Name, fs)
+	}
+	if back, _, _, err := dst.Load(); err != nil || !bytes.Equal(bulkBytes(t, back), bulkBytes(t, db)) {
+		t.Fatalf("harvested install differs (err %v)", err)
 	}
 }
 
-// FuzzParseJournal: parseJournal never panics, every entry it returns
-// re-encodes with appendJournalLine and parses back equal, and any byte
-// prefix of that journal — the shape a crash mid-append leaves —
-// parses to a prefix of its entries.
-func FuzzParseJournal(f *testing.F) {
-	_, journal := fuzzSeeds(f)
-	f.Add(journal)
-	f.Add(journal[:len(journal)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries := parseJournal(data)
-		var buf bytes.Buffer
-		for _, e := range entries {
-			if err := appendJournalLine(&buf, e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reenc := buf.Bytes()
-		if got := parseJournal(reenc); !slices.Equal(got, entries) {
-			t.Fatalf("re-encoded journal parses to %+v, want %+v", got, entries)
-		}
-		for n := range len(reenc) {
-			got := parseJournal(reenc[:n])
-			if len(got) > len(entries) || !slices.Equal(got, entries[:len(got)]) {
-				t.Fatalf("%d-byte prefix parses to %+v, not a prefix of %+v", n, got, entries)
-			}
-		}
-	})
+// TestStagingBranchSwitchDropsPartial: same generation id, other
+// manifest bytes. A partial the old branch left under the same segment
+// name is not continued; the new branch fetches it from byte zero.
+func TestStagingBranchSwitchDropsPartial(t *testing.T) {
+	db := corpus(t)
+	srcA := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
+	giA, err := srcA.Save(db, "branch A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcB := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(16))
+	giB, err := srcB.Save(db, "branch B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbA, _, _ := srcA.ExportManifest(giA.ID)
+	mbB, _, _ := srcB.ExportManifest(giB.ID)
+	si := giA.Segments[0]
+	if giA.ID != giB.ID || si.Name != giB.Segments[0].Name || si.SHA256 == giB.Segments[0].SHA256 {
+		t.Fatalf("want one id and segment name with two digests: %+v vs %+v", si, giB.Segments[0])
+	}
+
+	dst := open(t, t.TempDir())
+	stg, err := dst.OpenStaging(mbA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := shippedSegment(srcA, giA.ID, si.Name)
+	w, _ := stg.SegmentWriter(si)
+	w.Write(data[:len(data)/2])
+	w.Close()
+	stg.Close()
+
+	log := &fetchLog{}
+	if _, _, err := stagedPull(t, dst, srcB, giB.ID, mbB, log); err != nil {
+		t.Fatalf("branch B pull: %v", err)
+	}
+	if fs := log.fetchesOf(si.Name); len(fs) != 1 || fs[0].off != 0 {
+		t.Fatalf("branch B fetches of %s = %+v, want one from offset 0", si.Name, fs)
+	}
+	if _, lgi, _, err := dst.Load(); err != nil || lgi.CorpusSHA256 != giB.CorpusSHA256 {
+		t.Fatalf("installed %v (err %v), want branch B", lgi, err)
+	}
+}
+
+// TestStagingJournalTornTail: the area's only record is its pinned
+// manifest. A torn (half-written) MANIFEST.bin — the crash-mid-pin
+// shape — starts the area over, verified segments and all; an intact
+// pin resumes with no fetch, even beside a stray file an older layout
+// left behind.
+func TestStagingJournalTornTail(t *testing.T) {
+	db := corpus(t)
+	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
+	gi, err := src.Save(db, "torn pin source")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _, _ := src.ExportManifest(gi.ID)
+	si := gi.Segments[0]
+
+	dst := open(t, t.TempDir())
+	sdir := filepath.Join(dst.Dir(), stagingRootName, stagingDirName(gi.ID))
+	stageSegment(t, dst, src, gi.ID, mb, si)
+
+	// Tear the pin: the area starts over and pins the bytes afresh.
+	pin := filepath.Join(sdir, stagingManifestFile)
+	if err := os.Truncate(pin, int64(len(mb)/2)); err != nil {
+		t.Fatal(err)
+	}
+	stg, err := dst.OpenStaging(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stg.Verified(si.Name) || len(stg.Missing()) != len(gi.Segments) {
+		t.Fatalf("torn pin resumed: %d of %d segments missing", len(stg.Missing()), len(gi.Segments))
+	}
+	stg.Close()
+	if got, err := os.ReadFile(pin); err != nil || !bytes.Equal(got, mb) {
+		t.Fatalf("restarted area's pin is not the manifest (err %v)", err)
+	}
+
+	// An intact pin resumes: the verified segment is never fetched.
+	stageSegment(t, dst, src, gi.ID, mb, si)
+	if err := os.WriteFile(filepath.Join(sdir, "JOURNAL"), []byte("stray\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log := &fetchLog{}
+	if _, _, err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
+		t.Fatalf("resume over an intact pin: %v", err)
+	}
+	if fs := log.fetchesOf(si.Name); len(fs) != 0 {
+		t.Fatalf("intact pin re-fetched verified %s: %+v", si.Name, fs)
+	}
+	if back, _, _, err := dst.Load(); err != nil || !bytes.Equal(bulkBytes(t, back), bulkBytes(t, db)) {
+		t.Fatalf("post-resume install differs (err %v)", err)
+	}
+	if _, err := os.Stat(sdir); !os.IsNotExist(err) {
+		t.Fatalf("staging area outlived its install (err %v)", err)
+	}
 }
 
 // TestCopyFallbackFsyncs: the byte copy linkOrCopy falls back to where
 // hard links fail (e.g. across filesystems) is fsynced like every other
-// staged write — adoptLocal journals it as verified and InstallStaged
+// staged write — adoptLocal promotes it as verified and InstallStaged
 // commits it after only a directory sync.
 func TestCopyFallbackFsyncs(t *testing.T) {
 	dir := t.TempDir()

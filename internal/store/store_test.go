@@ -398,3 +398,58 @@ func TestDecodeBlockRejectsTruncation(t *testing.T) {
 		}
 	}
 }
+
+// TestMinRecordBytes pins checkTotal's per-kind minimums to the
+// encoder: an empty license, and what one location, path or frequency
+// adds to it. A header total above payload/minimum is refused before
+// any arena is allocated.
+func TestMinRecordBytes(t *testing.T) {
+	size := func(l *uls.License) int { return len(encodeBlock([]*uls.License{l})) - 16 }
+	empty := size(&uls.License{})
+	withPath := size(&uls.License{Paths: make([]uls.Path, 1)})
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"license", empty, minLicenseBytes},
+		{"location", size(&uls.License{Locations: make([]uls.Location, 1)}) - empty, minLocationBytes},
+		{"path", withPath - empty, minPathBytes},
+		{"frequency", size(&uls.License{Paths: []uls.Path{{FrequenciesMHz: []float64{1}}}}) - withPath, minFrequencyBytes},
+	} {
+		if c.got != c.want {
+			t.Errorf("a %s encodes in %d bytes at least; checkTotal assumes %d", c.what, c.got, c.want)
+		}
+		const payload = 4096
+		if _, err := checkTotal(uint32(payload/c.want+1), payload, c.want, c.what); err == nil {
+			t.Errorf("checkTotal accepted %d %ss in a %d-byte payload", payload/c.want+1, c.what, payload)
+		}
+	}
+}
+
+// FuzzDecodeBlock: decodeBlock never panics, and a block it accepts is
+// byte for byte what encodeBlock writes for the licenses it returns, so
+// no block decodes to licenses that another block also decodes to. The
+// seeds include a real block with each header total raised by one: a
+// total its records do not use up must be refused.
+func FuzzDecodeBlock(f *testing.F) {
+	ls := corpus(f).All()
+	f.Add(encodeBlock(nil))
+	f.Add(encodeBlock(ls[:2]))
+	block := encodeBlock(ls[:1])
+	f.Add(block)
+	for off := 4; off < 16; off += 4 {
+		raised := append([]byte(nil), block...)
+		raised[off]++
+		f.Add(raised)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		back, err := decodeBlock(payload)
+		if err != nil {
+			return
+		}
+		if got := encodeBlock(back); !bytes.Equal(got, payload) {
+			t.Fatalf("%d decoded licenses re-encode to %d bytes that differ from the %d-byte block",
+				len(back), len(got), len(payload))
+		}
+	})
+}
