@@ -332,6 +332,7 @@ func addScrubCounters(acc, s store.ScrubStatus) store.ScrubStatus {
 	acc.Repaired += s.Repaired
 	acc.Quarantined += s.Quarantined
 	acc.Unrepaired += s.Unrepaired
+	acc.Collected += s.Collected
 	acc.GenerationsQuarantined += s.GenerationsQuarantined
 	acc.LastError = s.LastError
 	if s.LastRepair != "" {

@@ -45,15 +45,6 @@ func MultipathOutageProbability(freqGHz, pathKM, marginDB float64, climate Clima
 	return p
 }
 
-// secondsPerMonth is the worst-month reference period.
-const secondsPerMonth = 30 * 24 * 3600.0
-
-// MultipathOutageSeconds converts the outage probability into expected
-// worst-month outage seconds.
-func MultipathOutageSeconds(freqGHz, pathKM, marginDB float64, climate ClimateFactor) float64 {
-	return MultipathOutageProbability(freqGHz, pathKM, marginDB, climate) * secondsPerMonth
-}
-
 // PathAvailability returns the worst-month availability (0..1) of a
 // multi-hop path whose hops fade independently: the product of per-hop
 // availabilities.

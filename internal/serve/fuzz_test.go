@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"hftnetview/internal/sites"
+	"hftnetview/internal/uls"
 	"hftnetview/internal/units"
 )
 
@@ -27,11 +29,13 @@ type fuzzRow struct {
 
 // fuzzBody is the union of the endpoints' response shapes.
 type fuzzBody struct {
+	Date          string    `json:"date"`
 	Licensee      string    `json:"licensee"`
 	Path          string    `json:"path"`
 	Networks      []fuzzRow `json:"networks"`
 	Complementary []fuzzRow `json:"complementary_pairs"`
 	Points        []struct {
+		Date          string  `json:"date"`
 		Connected     bool    `json:"connected"`
 		LatencyMicros float64 `json:"latency_us"`
 	} `json:"points"`
@@ -46,8 +50,17 @@ type fuzzBody struct {
 // names two distinct known data centers; every latency is at least the
 // path's great-circle time at c (nothing beats light in vacuum); every
 // APA lies in [0, 1]; every /v1/evolution answer names a licensee of
-// the corpus (an unknown one is a 404, never a memo entry). Seeded with
-// TestBadParams' and TestUnknownLicenseeNotFound's URLs and valid ones.
+// the corpus (an unknown one is a 404, never a memo entry).
+//
+// Every 200 also echoes what was asked: the canonical date, the path
+// and the licensee; /v1/rank?top=N (N > 0) ranks at most N per path;
+// /v1/evolution's points lie within its from/to years; and the same
+// request sent again returns the same bytes. The one server keeps its
+// answer cache across inputs, so a cache key that drops a parameter
+// answers a later input with an earlier input's body and fails here.
+// Seeded with TestBadParams' and TestUnknownLicenseeNotFound's URLs and
+// valid ones, the last of them repeating an earlier question with one
+// parameter changed.
 func FuzzQueryParams(f *testing.F) {
 	for _, seed := range []struct {
 		endpoint uint8
@@ -76,6 +89,14 @@ func FuzzQueryParams(f *testing.F) {
 		{3, ""},
 		{3, "path=NY4-NY4"},
 		{3, "date=2019-11-30&path=CME-NASDAQ"},
+		{0, "date=2016-01-01&path=CME-NY4"},
+		{0, "date=2020-04-01&path=NY4-CME"},
+		{1, "top=2"},
+		{1, "top=0"},
+		{2, "licensee=New+Line+Networks&path=CME-NYSE&from=2013&to=2020"},
+		{2, "licensee=New+Line+Networks&from=2016&to=2018"},
+		{2, "licensee=Webline+Holdings&from=2013&to=2020"},
+		{3, "path=CME-NYSE"},
 	} {
 		f.Add(seed.endpoint, seed.query)
 	}
@@ -97,6 +118,12 @@ func FuzzQueryParams(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatalf("%s?%s: undecodable 200: %v", req.URL.Path, query, err)
 		}
+		again := httptest.NewRecorder()
+		h.ServeHTTP(again, req)
+		if !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("%s?%s: the repeat answered %d %s, the first 200 %s", req.URL.Path, query, again.Code, again.Body, rec.Body)
+		}
+		echoes(t, req, body)
 		if req.URL.Path == "/v1/evolution" {
 			if _, ok := slices.BinarySearch(corpus(t).Licensees(), body.Licensee); !ok {
 				t.Fatalf("%s?%s: 200 for licensee %q, which the corpus does not have", req.URL.Path, query, body.Licensee)
@@ -133,6 +160,46 @@ func FuzzQueryParams(f *testing.F) {
 		}
 		check(body.Path, rows)
 	})
+}
+
+// echoes fails t unless a 200 body answers exactly what req asked:
+// the canonical date, the path, the licensee, at most top rows per
+// ranked path, and evolution points within the from/to years.
+func echoes(t *testing.T, req *http.Request, body fuzzBody) {
+	t.Helper()
+	q := req.URL.Query()
+	date, derr := parseDate(q)
+	path, perr := parsePath(q)
+	switch req.URL.Path {
+	case "/v1/snapshot", "/v1/apa":
+		if derr != nil || perr != nil || body.Date != date.String() || body.Path != path.Name() {
+			t.Fatalf("%s?%s: 200 for %s on %s, asked %v (%v) on %v (%v)", req.URL.Path, req.URL.RawQuery,
+				body.Date, body.Path, date, derr, path.Name(), perr)
+		}
+	case "/v1/rank":
+		top, err := parseInt(q, "top", 0)
+		if derr != nil || err != nil || body.Date != date.String() {
+			t.Fatalf("%s?%s: 200 for %s, asked %v (%v, %v)", req.URL.Path, req.URL.RawQuery, body.Date, date, derr, err)
+		}
+		for _, p := range body.Paths {
+			if top > 0 && len(p.Ranked) > top {
+				t.Fatalf("%s?%s: %d networks ranked on %s, asked for at most %d", req.URL.Path, req.URL.RawQuery,
+					len(p.Ranked), p.Path, top)
+			}
+		}
+	case "/v1/evolution":
+		from, to, err := parseYears(q)
+		if perr != nil || err != nil || body.Path != path.Name() || body.Licensee != q.Get("licensee") {
+			t.Fatalf("%s?%s: 200 for %q on %s, asked %q on %v (%v, %v)", req.URL.Path, req.URL.RawQuery,
+				body.Licensee, body.Path, q.Get("licensee"), path.Name(), perr, err)
+		}
+		for _, p := range body.Points {
+			d, err := uls.ParseDate(p.Date)
+			if err != nil || d.Year < from || d.Year > to {
+				t.Fatalf("%s?%s: a point at %q (%v), asked for %d-%d", req.URL.Path, req.URL.RawQuery, p.Date, err, from, to)
+			}
+		}
+	}
 }
 
 // FuzzWatchLastEventID resumes /v1/watch with arbitrary Last-Event-ID

@@ -78,25 +78,28 @@ type errorBody struct {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	body, _ := json.Marshal(errorBody{Error: msg}) // a string always encodes
-	writeBody(w, status, body)
+	writeBody(w, status, append(body, '\n'))
 }
 
-// writeJSON answers 200 with v as one compact JSON line. The body is
-// encoded before anything is sent, so a value that fails to encode
-// answers 500 with the error envelope instead of an empty 200.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers 200 with v as one compact JSON line and returns
+// the bytes it sent. The body is encoded before anything is sent, so a
+// value that fails to encode answers 500 with the error envelope
+// instead of an empty 200, and writeJSON returns nil.
+func writeJSON(w http.ResponseWriter, v any) []byte {
 	body, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-		return
+		return nil
 	}
+	body = append(body, '\n')
 	writeBody(w, http.StatusOK, body)
+	return body
 }
 
-// writeBody sends an encoded JSON body and its closing newline in one
-// write, with its Content-Length.
+// writeBody sends a finished body, closing newline included, in one
+// write with its Content-Length. It never modifies body, which may be a
+// stored answer.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	body = append(body, '\n')
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
@@ -104,17 +107,18 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// runQuery wraps one engine-backed analysis over generation g (the
-// live one, loaded by the caller) in the circuit breaker and failure
-// accounting: engine failures (timeouts, rebuild errors) count against
-// the breaker; client-side cancellation does not. It writes the error
-// response on failure and reports whether the caller should proceed to
-// render results.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, g *generation, f func(p core.SnapshotProvider, g *generation) error) bool {
+// answer serves one /v1 query, keyed k, over generation g (the live
+// one, loaded by the caller). A query g has already answered gets its
+// stored bytes and touches no breaker, engine or encoder, so an open
+// breaker still answers it. Otherwise f runs the engine-backed
+// analysis inside the circuit breaker and its failure accounting:
+// engine failures (timeouts, rebuild errors) count against the
+// breaker; client-side cancellation does not. Only a 200 is stored.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, g *generation, k answerKey, f func(p core.SnapshotProvider, g *generation) (any, error)) {
 	if g == nil {
 		w.Header().Set("Retry-After", RetryAfterJitter(s.cfg.RetryAfter))
 		writeError(w, http.StatusServiceUnavailable, "no corpus loaded")
-		return false
+		return
 	}
 	// Every query response names the exact corpus it was computed from:
 	// the fleet's chaos soak asserts wrong-generation responses are
@@ -125,18 +129,24 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, g *generation,
 	if g.digest != "" {
 		w.Header().Set("X-Corpus-Digest", g.digest)
 	}
+	if body, ok := g.answers.get(k); ok {
+		writeBody(w, http.StatusOK, body)
+		return
+	}
 	done, err := s.breaker.Allow()
 	if err != nil {
 		s.counters.rejected.Add(1)
 		w.Header().Set("Retry-After", RetryAfterJitter(s.cfg.BreakerCooldown))
 		writeError(w, http.StatusServiceUnavailable, "engine circuit breaker open")
-		return false
+		return
 	}
-	err = f(ctxProvider{ctx: r.Context(), eng: g.eng}, g)
+	v, err := f(ctxProvider{ctx: r.Context(), eng: g.eng}, g)
 	switch engine.Classify(err) {
 	case engine.FailureNone:
 		done(false)
-		return true
+		if body := writeJSON(w, v); body != nil {
+			g.answers.put(k, body)
+		}
 	case engine.FailureCanceled:
 		// The client hung up; the engine is fine.
 		done(false)
@@ -150,7 +160,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, g *generation,
 		done(true)
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("reconstruction failed: %v", err))
 	}
-	return false
 }
 
 // --- query parameter parsing ---
@@ -280,22 +289,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Generation int64        `json:"generation"`
 		Networks   []networkRow `json:"networks"`
 	}
-	var out resp
-	if !s.runQuery(w, r, s.gen.Load(), func(p core.SnapshotProvider, g *generation) error {
+	k := answerKey{endpoint: "/v1/snapshot", date: date, from: path.From.Code, to: path.To.Code}
+	s.answer(w, r, s.gen.Load(), k, func(p core.SnapshotProvider, g *generation) (any, error) {
 		rows, err := core.ConnectedNetworksVia(p, date, path, core.DefaultOptions())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = resp{Date: date.String(), Path: path.Name(), Generation: g.id,
+		out := resp{Date: date.String(), Path: path.Name(), Generation: g.id,
 			Networks: make([]networkRow, 0, len(rows))}
 		for _, row := range rows {
 			out.Networks = append(out.Networks, toRow(row))
 		}
-		return nil
-	}) {
-		return
-	}
-	writeJSON(w, out)
+		return out, nil
+	})
 }
 
 // handleRank serves /v1/rank: the fastest networks per corridor path
@@ -323,13 +329,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		Generation int64     `json:"generation"`
 		Paths      []ranking `json:"paths"`
 	}
-	var out resp
-	if !s.runQuery(w, r, s.gen.Load(), func(p core.SnapshotProvider, g *generation) error {
+	k := answerKey{endpoint: "/v1/rank", date: date, top: top}
+	s.answer(w, r, s.gen.Load(), k, func(p core.SnapshotProvider, g *generation) (any, error) {
 		ranks, err := core.RankNetworksVia(p, date, sites.CorridorPaths(), top, core.DefaultOptions())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = resp{Date: date.String(), Generation: g.id}
+		out := resp{Date: date.String(), Generation: g.id}
 		for _, pr := range ranks {
 			rk := ranking{
 				Path:         pr.Path.Name(),
@@ -342,11 +348,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			}
 			out.Paths = append(out.Paths, rk)
 		}
-		return nil
-	}) {
-		return
-	}
-	writeJSON(w, out)
+		return out, nil
+	})
 }
 
 // handleEvolution serves /v1/evolution: one licensee's longitudinal
@@ -385,17 +388,22 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 	// breaker's accounting: answering it would memoize one empty
 	// snapshot per name, and a publish would carry them all over.
 	g := s.gen.Load()
-	if g != nil && !g.files(licensee) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown licensee %q", licensee))
-		return
+	if g != nil {
+		name, ok := g.licensee(licensee)
+		if !ok {
+			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown licensee %q", licensee))
+			return
+		}
+		licensee = name
 	}
-	var out resp
-	if !s.runQuery(w, r, g, func(p core.SnapshotProvider, g *generation) error {
+	k := answerKey{endpoint: "/v1/evolution", from: path.From.Code, to: path.To.Code,
+		licensee: licensee, fromYear: from, toYear: to}
+	s.answer(w, r, g, k, func(p core.SnapshotProvider, g *generation) (any, error) {
 		pts, err := core.EvolutionVia(p, licensee, path, core.PaperSampleDates(from, to), core.DefaultOptions())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = resp{Licensee: licensee, Path: path.Name(), Generation: g.id,
+		out := resp{Licensee: licensee, Path: path.Name(), Generation: g.id,
 			Points: make([]point, 0, len(pts))}
 		for _, pt := range pts {
 			jp := point{Date: pt.Date.String(), Connected: pt.Connected,
@@ -405,11 +413,8 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 			}
 			out.Points = append(out.Points, jp)
 		}
-		return nil
-	}) {
-		return
-	}
-	writeJSON(w, out)
+		return out, nil
+	})
 }
 
 // handleAPA serves /v1/apa: per-network alternate-path availability on
@@ -443,17 +448,17 @@ func (s *Server) handleAPA(w http.ResponseWriter, r *http.Request) {
 		Networks      []apaRow  `json:"networks"`
 		Complementary []pairRow `json:"complementary_pairs"`
 	}
-	var out resp
-	if !s.runQuery(w, r, s.gen.Load(), func(p core.SnapshotProvider, g *generation) error {
+	k := answerKey{endpoint: "/v1/apa", date: date, from: path.From.Code, to: path.To.Code}
+	s.answer(w, r, s.gen.Load(), k, func(p core.SnapshotProvider, g *generation) (any, error) {
 		rows, err := core.ConnectedNetworksVia(p, date, path, core.DefaultOptions())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pairs, err := entity.ComplementaryPairsVia(p, date, path, nil, core.DefaultOptions())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = resp{Date: date.String(), Path: path.Name(), Generation: g.id,
+		out := resp{Date: date.String(), Path: path.Name(), Generation: g.id,
 			Networks: make([]apaRow, 0, len(rows)), Complementary: []pairRow{}}
 		for _, row := range rows {
 			out.Networks = append(out.Networks, apaRow{
@@ -467,11 +472,8 @@ func (s *Server) handleAPA(w http.ResponseWriter, r *http.Request) {
 				LatencyMicros: pr.Latency.Microseconds(),
 			})
 		}
-		return nil
-	}) {
-		return
-	}
-	writeJSON(w, out)
+		return out, nil
+	})
 }
 
 // handleHealthz is liveness: the process is up and the handler loop

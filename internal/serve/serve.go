@@ -21,7 +21,8 @@
 // reloader swaps in a replacement generation only after the candidate
 // passes ingestion's error budget and the cross-record integrity pass.
 // A failed reload keeps the old generation serving and surfaces on
-// /readyz.
+// /readyz. Each generation keeps the encoded answers it has served
+// (answers.go), so a repeated query costs its bytes, not its analysis.
 package serve
 
 import (
@@ -114,6 +115,11 @@ type generation struct {
 	// a corpus that was never persisted.
 	storeGen int64
 	digest   string
+
+	// answers holds the encoded 200 bodies this corpus has served. By
+	// pointer, so annotateStoreIdentity's shallow copy shares it: the
+	// bodies carry id, which the copy keeps, not the store identity.
+	answers *answerCache
 }
 
 // Server is the query service. Create with New, install a corpus with
@@ -217,6 +223,7 @@ func (s *Server) publishMeta(db *uls.Database, source string, storeGen int64, di
 		loadedAt: time.Now(),
 		storeGen: storeGen,
 		digest:   digest,
+		answers:  new(answerCache),
 	}
 	s.gen.Store(g)
 	if inherited > 0 {
@@ -288,16 +295,21 @@ func (g *generation) info() generationInfo {
 	}
 }
 
-// files reports whether licensee files in this generation's corpus.
-// The name list is cached per database, so the check copies nothing.
-func (g *generation) files(licensee string) bool {
-	_, ok := slices.BinarySearch(g.db.Licensees(), licensee)
-	return ok
+// licensee returns the corpus's own copy of name, and whether this
+// generation's corpus files under it. The name list is cached per
+// database, so the check copies nothing.
+func (g *generation) licensee(name string) (string, bool) {
+	names := g.db.Licensees()
+	i, ok := slices.BinarySearch(names, name)
+	if !ok {
+		return "", false
+	}
+	return names[i], true
 }
 
 // ServeStats is the /statsz payload: serving counters, the live
-// generation, the engine's memo counters, breaker state, and reload
-// history.
+// generation, its answer cache and engine memo counters, breaker
+// state, and reload history.
 type ServeStats struct {
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Requests      int64           `json:"requests"`
@@ -307,6 +319,7 @@ type ServeStats struct {
 	Panics        int64           `json:"panics"`
 	InFlight      int             `json:"in_flight"`
 	Generation    *generationInfo `json:"generation,omitempty"`
+	Answers       *AnswerStats    `json:"answers,omitempty"`
 	Engine        *engine.Stats   `json:"engine,omitempty"`
 	Breaker       BreakerStats    `json:"breaker"`
 	Reload        ReloadStatus    `json:"reload"`
@@ -335,6 +348,8 @@ func (s *Server) Stats() ServeStats {
 	if g := s.gen.Load(); g != nil {
 		info := g.info()
 		st.Generation = &info
+		ans := g.answers.stats()
+		st.Answers = &ans
 		est := g.eng.Stats()
 		st.Engine = &est
 	}

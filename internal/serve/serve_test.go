@@ -401,8 +401,14 @@ func TestStatszCounters(t *testing.T) {
 	if st.Engine == nil || st.Engine.Rebuilds == 0 {
 		t.Errorf("engine stats = %+v, want nonzero rebuilds", st.Engine)
 	}
-	if st.Engine != nil && st.Engine.Hits == 0 {
-		t.Errorf("engine hits = 0 after repeated identical queries, want cache hits")
+	// The first request asks the engine for the 12 licensees within
+	// reach; the two repeats are answered with its stored body.
+	if st.Engine != nil && (st.Engine.Hits != 0 || st.Engine.Misses != 12) {
+		t.Errorf("engine hits/misses = %d/%d after three identical queries, want 0/12",
+			st.Engine.Hits, st.Engine.Misses)
+	}
+	if st.Answers == nil || st.Answers.Hits != 2 || st.Answers.Misses != 1 {
+		t.Errorf("answers = %+v, want 2 hits and 1 miss", st.Answers)
 	}
 	if st.Breaker.State != "closed" {
 		t.Errorf("breaker state = %q, want closed", st.Breaker.State)

@@ -239,7 +239,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resumeAfter = ps
 	}
-	if !g.files(licensee) {
+	if _, ok := g.licensee(licensee); !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown licensee %q", licensee))
 		return
 	}

@@ -80,6 +80,9 @@ type ScrubStatus struct {
 	Repaired    int64 `json:"repaired"`    // segments repaired in place from a peer
 	Quarantined int64 `json:"quarantined"` // corrupt segment originals moved aside by repair
 	Unrepaired  int64 `json:"unrepaired"`  // detections left in place for the next cycle
+	// Collected counts detections whose generation GC collected before
+	// the repair landed, so Corrupt == Repaired + Unrepaired + Collected.
+	Collected int64 `json:"collected"`
 	// GenerationsQuarantined counts whole generations moved aside
 	// after exhausting the repair ladder.
 	GenerationsQuarantined int64  `json:"generations_quarantined"`
@@ -222,6 +225,7 @@ func (sc *Scrubber) scrubSegment(ctx context.Context, m *manifest, gi GenInfo, s
 	quarantined, rerr := sc.st.repairSegment(id, si, data)
 	if rerr != nil {
 		if errors.Is(rerr, ErrGenGone) {
+			sc.note(func(st *ScrubStatus) { st.Collected++ })
 			sc.clearMiss(id, si.Name)
 			return
 		}

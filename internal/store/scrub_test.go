@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -193,6 +194,50 @@ func TestScrubNeverQuarantinesLastGeneration(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, manifestName(gi.ID))); err != nil {
 		t.Fatalf("only generation's manifest should stay on disk: %v", err)
+	}
+}
+
+// TestScrubCountsCollectedRepair: a detection whose generation GC
+// collects while its repair is in flight counts in Collected, so the
+// counters still reconcile: Corrupt == Repaired + Unrepaired +
+// Collected.
+func TestScrubCountsCollectedRepair(t *testing.T) {
+	db := corpus(t)
+	dir := t.TempDir()
+	s := open(t, dir, WithSegmentTarget(16<<10), WithBlockLicenses(8))
+	old, err := s.Save(db, "old gen")
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	if _, err := s.Save(db, "new gen"); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	seg := old.Segments[0]
+	good, err := os.ReadFile(filepath.Join(dir, genDirName(old.ID), seg.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, dir, old.ID, seg.Name)
+	fetch := func(_ context.Context, gen GenInfo, si SegmentInfo) ([]byte, error) {
+		if gen.ID != old.ID || si.Name != seg.Name {
+			return nil, fmt.Errorf("unexpected fetch of gen %d %s", gen.ID, si.Name)
+		}
+		// GC collects the generation before its verified bytes land.
+		if _, err := s.GC(1); err != nil {
+			return nil, err
+		}
+		return good, nil
+	}
+	sc := NewScrubber(s, ScrubConfig{Pause: time.Microsecond, Fetch: fetch})
+	if err := sc.ScrubOnce(context.Background()); err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	st := sc.Status()
+	if st.Corrupt != 1 || st.Collected != 1 || st.Corrupt != st.Repaired+st.Unrepaired+st.Collected {
+		t.Fatalf("status %+v, want one corrupt detection counted as collected", st)
+	}
+	if rep, err := s.Fsck(); err != nil || !rep.OK() {
+		t.Fatalf("store not fsck-clean after GC took the rotten generation (err=%v): %+v", err, rep)
 	}
 }
 

@@ -67,21 +67,27 @@ func (d Date) String() string {
 }
 
 // ParseDate parses an FCC MM/DD/YYYY date. The empty string parses to the
-// zero Date. It also accepts ISO yyyy-mm-dd, which the CLI tools use.
+// zero Date. It also accepts ISO yyyy-mm-dd, which the CLI tools use. The
+// input's shape picks the one layout that can match it: only an ISO date
+// has a '-' after four characters, and only a ULS date a '/' after two.
 func ParseDate(s string) (Date, error) {
 	if s == "" {
 		return Date{}, nil
 	}
-	for _, layout := range []string{"01/02/2006", "2006-01-02"} {
-		if t, err := time.Parse(layout, s); err == nil {
-			// Reject dates that normalized (e.g. 02/30/2020).
-			if t.Format(layout) != s {
-				return Date{}, fmt.Errorf("uls: invalid calendar date %q", s)
-			}
-			return DateOf(t), nil
-		}
+	layout := "01/02/2006"
+	if len(s) > 4 && s[4] == '-' {
+		layout = "2006-01-02"
 	}
-	return Date{}, fmt.Errorf("uls: unparseable date %q (want MM/DD/YYYY or YYYY-MM-DD)", s)
+	t, err := time.Parse(layout, s)
+	if err != nil {
+		return Date{}, fmt.Errorf("uls: unparseable date %q (want MM/DD/YYYY or YYYY-MM-DD)", s)
+	}
+	// Reject dates that normalized (e.g. 02/30/2020).
+	var buf [len("2006-01-02")]byte
+	if string(t.AppendFormat(buf[:0], layout)) != s {
+		return Date{}, fmt.Errorf("uls: invalid calendar date %q", s)
+	}
+	return DateOf(t), nil
 }
 
 // MustParseDate is ParseDate for tests and tables of constants; it panics

@@ -112,3 +112,17 @@ func TestMustParseDatePanics(t *testing.T) {
 	}()
 	MustParseDate("garbage")
 }
+
+// BenchmarkParseDate: an API date in each layout.
+func BenchmarkParseDate(b *testing.B) {
+	for _, c := range []struct{ name, date string }{{"iso", "2020-04-01"}, {"uls", "04/01/2020"}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseDate(c.date); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,8 +2,10 @@ package uls
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzReadBulk asserts the bulk parser never panics on arbitrary input,
@@ -131,15 +133,42 @@ func FuzzReadBulkLenient(f *testing.F) {
 	})
 }
 
-// FuzzParseDate asserts the date parser never panics and that accepted
-// dates re-render to a string that parses back to the same value.
+// parseDateTwoLayouts is ParseDate as it was before it picked its
+// layout by the input's shape: try the ULS layout, then ISO. It is the
+// oracle FuzzParseDate holds ParseDate to.
+func parseDateTwoLayouts(s string) (Date, error) {
+	if s == "" {
+		return Date{}, nil
+	}
+	for _, layout := range []string{"01/02/2006", "2006-01-02"} {
+		if t, err := time.Parse(layout, s); err == nil {
+			// Reject dates that normalized (e.g. 02/30/2020).
+			if t.Format(layout) != s {
+				return Date{}, fmt.Errorf("uls: invalid calendar date %q", s)
+			}
+			return DateOf(t), nil
+		}
+	}
+	return Date{}, fmt.Errorf("uls: unparseable date %q (want MM/DD/YYYY or YYYY-MM-DD)", s)
+}
+
+// FuzzParseDate asserts the date parser never panics, that it returns
+// the same Date and the same error as the two-layout loop it replaced,
+// and that accepted dates re-render to a string that parses back to the
+// same value.
 func FuzzParseDate(f *testing.F) {
 	for _, s := range []string{"", "04/01/2020", "2020-04-01", "02/29/2016",
-		"13/01/2020", "garbage", "00/00/0000", "12/31/9999"} {
+		"13/01/2020", "garbage", "00/00/0000", "12/31/9999", "02/30/2019", "2019-02-29",
+		"2020/04/01", "04-01-2020", "0000-01-01", "2020-4-01", " 2020-04-01", "2020-04-01 ",
+		"+020-04-01", "04/01/20200", "1-2-3-4-5"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		d, err := ParseDate(s)
+		want, werr := parseDateTwoLayouts(s)
+		if d != want || (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("ParseDate(%q) = %v, %v; the two-layout loop gives %v, %v", s, d, err, want, werr)
+		}
 		if err != nil {
 			return
 		}
